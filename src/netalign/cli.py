@@ -3,7 +3,8 @@
 All three commands read the line-oriented scenario format of `netalign.dag`
 and print one JSON report to stdout.  Output is deterministic: same file,
 same flags, same seed -> byte-identical bytes.  Exit codes: 0 ok, 2 bad
-input, 3 resample limit hit, 4 graph too large for the symbolic oracle.
+input (scenario or flags), 3 resample limit hit (`simulate` only), 4 graph
+too large for the symbolic oracle.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ def _classification_fields(report: CouplingReport, nt: NetworkType) -> Dict:
 def cmd_classify(args) -> int:
     sc = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed)
-    report, nt = classify(sc, field_bits=args.field_bits, trials=args.trials,
-                          seed=seed)
+    report, nt = classify(sc)
     doc = {
         "command": "classify",
         "version": __version__,
@@ -114,7 +114,7 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     seed = _resolve_seed(args.seed)
-    report, nt = classify(sc, seed=seed)
+    report, nt = classify(sc)
     plan = build_plan(nt, n=args.n)
     result = simulate(sc, plan, args.trials, field(args.field_bits), seed=seed)
     doc = {
@@ -160,6 +160,24 @@ def _emit(doc: Dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _bounded_int(lo: int, hi: Optional[int] = None):
+    """argparse type for an integer in lo..hi (no upper end when hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return parse
+
+
+FIELD_BITS = _bounded_int(1, 32)
+POSITIVE = _bounded_int(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netalign",
@@ -169,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="graph-theoretic rate verdict")
     p_cls.add_argument("scenario", help="scenario file")
-    p_cls.add_argument("--field-bits", type=int, default=32,
-                       help="GF(2^m) size for randomized checks (default 32)")
-    p_cls.add_argument("--trials", type=int, default=20,
-                       help="random points per identity test (default 20)")
+    p_cls.add_argument("--field-bits", type=FIELD_BITS, default=32,
+                       help="GF(2^m) size, m in 1..32, for --cross-check only (default 32)")
+    p_cls.add_argument("--trials", type=POSITIVE, default=20,
+                       help="random points per identity test, for --cross-check only "
+                            "(default 20)")
     p_cls.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default ${SEED_ENV} or 0)")
     p_cls.add_argument("--cross-check", action="store_true",
@@ -181,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="end-to-end scheme simulation")
     p_sim.add_argument("scenario", help="scenario file")
-    p_sim.add_argument("--n", type=int, default=1,
+    p_sim.add_argument("--n", type=POSITIVE, default=1,
                        help="extension parameter for the 2n+1-slot scheme (default 1)")
-    p_sim.add_argument("--trials", type=int, default=500,
+    p_sim.add_argument("--trials", type=POSITIVE, default=500,
                        help="Monte-Carlo trials (default 500)")
-    p_sim.add_argument("--field-bits", type=int, default=16,
-                       help="GF(2^m) symbol size (default 16)")
+    p_sim.add_argument("--field-bits", type=FIELD_BITS, default=16,
+                       help="GF(2^m) symbol size, m in 1..32 (default 16)")
     p_sim.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default ${SEED_ENV} or 0)")
     p_sim.set_defaults(func=cmd_simulate)

@@ -1,11 +1,12 @@
-"""Single-edge bottlenecks, their meeting points, and small min-cuts.
+"""Single-edge bottlenecks, their meeting points, and two-pair cuts.
 
 A bottleneck between edges e and e' is an edge whose removal disconnects
 every directed path from e to e' (e and e' themselves always qualify when a
 path exists).  The set of bottlenecks is computed with one frontier sweep in
 topological order over the edges that lie on some e-to-e' path: the frontier
 is a running edge cut, and whenever it narrows to a single edge that edge is
-a bottleneck.  With h the maximum in-degree this is O(h |E|) per query.
+a bottleneck.  With h the maximum in-degree this is O(h |E|) per query, on
+top of the two reach sweeps the scenario memoizes per endpoint.
 
 Two derived edges drive the coupling checks for sessions (i, j, k):
 
@@ -14,11 +15,17 @@ Two derived edges drive the coupling checks for sessions (i, j, k):
 * beta(i, j, k): the topologically first bottleneck shared by sigma_j-to-
   tau_k paths and alpha-to-tau_k paths.
 
-`min_cut` answers the two-sender/two-receiver cut queries by maximum flow
-with every edge given unit capacity (edges are split into an entry and exit
-vertex joined by a unit arc); augmenting paths are found with breadth-first
-search, and the answer is at most the number of sources, so the search
-terminates after a handful of passes.
+`cut_by_pair` answers the two-sender/two-receiver cut queries without any
+flow computation.  Each sender edge carries one unit, so the cut is 0, 1 or
+2, and a single edge separates the senders from the receivers exactly when
+it is a bottleneck of every connected (sender, receiver) pair: the cut is 0
+when no pair connects, 1 when the non-empty bottleneck sets of the four
+pairs share an edge, and 2 otherwise.
+
+`min_cut` is the general unit-capacity max-flow (edges split into an entry
+and exit vertex joined by a unit arc, augmenting paths by breadth-first
+search).  No classification runs it; it stays as a reference for cuts of
+any size.
 """
 
 from __future__ import annotations
@@ -71,10 +78,10 @@ def bottleneck_set(sc: Scenario, src: int, dst: int,
     useful = forward & sc.reachable_edges(dst, forward=False)
     members = [src]
     frontier = {src}
-    pos = sc.topo_pos
-    for eid in sorted(useful, key=pos.__getitem__):
+    succ = sc.succ
+    for eid in sorted(useful, key=sc.topo_pos.__getitem__):
         frontier.discard(eid)
-        for nxt in sc.next_edges(eid):
+        for nxt in succ[eid]:
             if nxt in useful:
                 frontier.add(nxt)
         if len(frontier) == 1:
@@ -179,8 +186,18 @@ def min_cut(sc: Scenario, sources: Iterable[int], sinks: Iterable[int]) -> int:
 
 
 def cut_by_pair(sc: Scenario, sessions_src: Tuple[int, int],
-                sessions_dst: Tuple[int, int]) -> int:
-    """min_cut between two sessions' sender edges and two receiver edges."""
-    a, b = sessions_src
-    c, d = sessions_dst
-    return min_cut(sc, (sc.sigma(a), sc.sigma(b)), (sc.tau(c), sc.tau(d)))
+                sessions_dst: Tuple[int, int], cache: dict | None = None) -> int:
+    """Fewest edges separating two sessions' sender edges from two receiver edges.
+
+    0, 1 or 2, read off the bottleneck sets of the four (sender, receiver)
+    pairs; `cache` is shared with `bottleneck_set`.
+    """
+    common = None
+    for j in sessions_src:
+        for i in sessions_dst:
+            members = bottleneck_set(sc, sc.sigma(j), sc.tau(i), cache).members
+            if members:
+                common = set(members) if common is None else common.intersection(members)
+    if common is None:
+        return 0
+    return 1 if common else 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 class ScenarioParseError(ValueError):
@@ -74,10 +74,15 @@ class Scenario:
         for e in self.edges:
             self.out_edges[e.tail].append(e.id)
             self.in_edges[e.head].append(e.id)
+        # Edge adjacency by edge id: the edges leaving an edge's head and
+        # the edges entering its tail.
+        self.succ: Dict[int, List[int]] = {e.id: self.out_edges[e.head] for e in self.edges}
+        self.pred: Dict[int, List[int]] = {e.id: self.in_edges[e.tail] for e in self.edges}
 
         self.sessions = self._pin_sessions(sessions)
         self.topo_order = self._edge_topo_order()
         self.topo_pos = {eid: i for i, eid in enumerate(self.topo_order)}
+        self._reach: Dict[Tuple[int, bool], FrozenSet[int]] = {}
 
     def _pin_sessions(self, sessions) -> List[Session]:
         if sorted(s[0] for s in sessions) != [1, 2, 3]:
@@ -111,7 +116,7 @@ class Scenario:
         while ready:
             eid = heapq.heappop(ready)
             order.append(eid)
-            for nxt in self.out_edges[self.edge_by_id[eid].head]:
+            for nxt in self.succ[eid]:
                 pending[nxt] -= 1
                 if pending[nxt] == 0:
                     heapq.heappush(ready, nxt)
@@ -135,10 +140,10 @@ class Scenario:
     # -- adjacency and reachability ----------------------------------------
 
     def next_edges(self, eid: int) -> List[int]:
-        return self.out_edges[self.edge_by_id[eid].head]
+        return self.succ[eid]
 
     def prev_edges(self, eid: int) -> List[int]:
-        return self.in_edges[self.edge_by_id[eid].tail]
+        return self.pred[eid]
 
     def adjacent_pairs(self) -> List[Tuple[int, int]]:
         """All (upstream, downstream) edge pairs meeting at a node."""
@@ -150,26 +155,36 @@ class Scenario:
         return pairs
 
     def reachable_edges(self, start: int, forward: bool = True,
-                        banned: Iterable[int] = ()) -> Set[int]:
+                        banned: Iterable[int] = ()) -> FrozenSet[int]:
         """Edges reachable from `start` (inclusive) along edge adjacency.
 
         With forward=False, edges that can reach `start`.  Edges in `banned`
         are treated as removed; if `start` itself is banned the result is
-        empty.
+        empty.  Without banned edges the sweep runs once per (start,
+        direction) and later queries share its frozen result.
         """
         banned = set(banned)
+        if banned:
+            return self._sweep(start, forward, banned)
+        key = (start, forward)
+        hit = self._reach.get(key)
+        if hit is None:
+            hit = self._reach[key] = self._sweep(start, forward, banned)
+        return hit
+
+    def _sweep(self, start: int, forward: bool, banned: Set[int]) -> FrozenSet[int]:
         if start in banned:
-            return set()
+            return frozenset()
         seen = {start}
         stack = [start]
-        step = self.next_edges if forward else self.prev_edges
+        step = self.succ if forward else self.pred
         while stack:
             e = stack.pop()
-            for nxt in step(e):
+            for nxt in step[e]:
                 if nxt not in seen and nxt not in banned:
                     seen.add(nxt)
                     stack.append(nxt)
-        return seen
+        return frozenset(seen)
 
     def connects(self, src: int, dst: int, banned: Iterable[int] = ()) -> bool:
         """True when a directed path of edges leads from src to dst."""
@@ -234,4 +249,9 @@ def serialize_scenario(sc: Scenario) -> str:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return parse_scenario(text)

@@ -21,8 +21,11 @@ rate 2/5) or Type III (no coupling; rate 1/2).  When some sender-receiver
 pair is disconnected the vanished transfer functions erase alignment
 constraints instead of tightening them; such networks are flagged Reduced
 and the surviving decode ratios of the two-slot scheme are tested for
-non-constancy at random points, because here the graph criteria above no
-longer apply.
+non-constancy instead.  That test is exact and graph-only too: after
+cancelling the transfer functions common to numerator and denominator,
+each ratio is a 2x2 cross ratio m_ac*m_bd / (m_ad*m_bc) of present
+transfer functions, which is constant (identically 1) exactly when the
+pair cut between senders {a, b} and receivers {c, d} is at most 1.
 
 Every graph verdict can be cross-checked numerically: each relation has a
 denominator-free polynomial identity that is evaluated at random
@@ -32,6 +35,7 @@ assignments, with the usual degree-over-field-size false-accept bound.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -42,7 +46,6 @@ from .gf2m import Field, field as shared_field
 from .xfer import (
     COUPLING_IDENTITIES,
     CodingAssignment,
-    ResampleLimitError,
     SessionPair,
     evaluate_identity_sides,
     identity_degree_bound,
@@ -91,17 +94,17 @@ def check_eta_one(sc: Scenario, cache: dict | None = None) -> bool:
     return ab213.alpha == ab312.alpha and ab213.beta == ab312.beta
 
 
-def check_pi_relations(sc: Scenario) -> Tuple[Triple, Triple]:
-    """Min-cut tests for p_i = 1 and p_i = eta, i = 1..3."""
+def check_pi_relations(sc: Scenario, cache: dict | None = None) -> Tuple[Triple, Triple]:
+    """Pair-cut tests for p_i = 1 and p_i = eta, i = 1..3."""
     p_is_one = (
-        cut_by_pair(sc, (1, 2), (1, 3)) == 1,
-        cut_by_pair(sc, (1, 2), (2, 3)) == 1,
-        cut_by_pair(sc, (2, 3), (1, 3)) == 1,
+        cut_by_pair(sc, (1, 2), (1, 3), cache) == 1,
+        cut_by_pair(sc, (1, 2), (2, 3), cache) == 1,
+        cut_by_pair(sc, (2, 3), (1, 3), cache) == 1,
     )
     p_is_eta = (
-        cut_by_pair(sc, (1, 3), (1, 2)) == 1,
-        cut_by_pair(sc, (2, 3), (1, 2)) == 1,
-        cut_by_pair(sc, (1, 3), (2, 3)) == 1,
+        cut_by_pair(sc, (1, 3), (1, 2), cache) == 1,
+        cut_by_pair(sc, (2, 3), (1, 2), cache) == 1,
+        cut_by_pair(sc, (1, 3), (2, 3), cache) == 1,
     )
     return p_is_one, p_is_eta
 
@@ -133,22 +136,19 @@ def check_third_relation(sc: Scenario, i: int, cache: dict | None = None) -> boo
 RATE_BY_KIND = {"I": Fraction(1, 3), "II": Fraction(2, 5), "III": Fraction(1, 2)}
 
 
-def classify(sc: Scenario, *, field_bits: int = 32, trials: int = 20,
-             seed: int = 0) -> Tuple[CouplingReport, NetworkType]:
-    """Full taxonomy decision.
+def classify(sc: Scenario) -> Tuple[CouplingReport, NetworkType]:
+    """Full taxonomy decision, by deterministic graph checks alone.
 
-    Fully connected scenarios are decided by graph checks alone and the
-    randomness parameters are unused; Reduced scenarios fall back to
-    randomized non-constancy tests of the surviving decode ratios.
+    All checks share one cache of bottleneck sets.
     """
     conn = connectivity_map(sc)
+    cache: dict = {}
     if not all(conn.values()):
         report = CouplingReport(conn, None, None, None, None)
-        return report, _classify_reduced(sc, conn, field_bits, trials, seed)
+        return report, _classify_reduced(sc, conn, cache)
 
-    cache: dict = {}
     eta_one = check_eta_one(sc, cache)
-    p_is_one, p_is_eta = check_pi_relations(sc)
+    p_is_one, p_is_eta = check_pi_relations(sc, cache)
     third = tuple(check_third_relation(sc, i, cache) for i in (1, 2, 3))
     report = CouplingReport(conn, eta_one, p_is_one, p_is_eta, third)
 
@@ -179,8 +179,11 @@ def randomized_identity_check(sc: Scenario, name: str, field: Field,
 
     The reported false-accept bound trials * d / 2^m is the chance budget
     for a non-identity passing all trials (union bound over single-trial
-    Schwartz-Zippel misses; each factor is already conservative).
+    Schwartz-Zippel misses; each factor is already conservative).  With
+    no trials there is no evidence either way, so trials < 1 is refused.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     d = identity_degree_bound(sc, name)
     all_equal = True
     used = 0
@@ -278,43 +281,14 @@ def reduced_structure(sc: Scenario, present: Dict[SessionPair, bool] | None = No
     )
 
 
-def _ratio_nonconstant(sc: Scenario, num: Tuple[SessionPair, ...],
-                       den: Tuple[SessionPair, ...], field: Field,
-                       trials: int, rng: random.Random,
-                       resample_limit: int = 100) -> bool:
-    values = set()
-    misses = 0
-    valid = 0
-    while valid < trials:
-        x = CodingAssignment.random(sc, field, rng)
-        m = session_transfer_matrix(sc, x, field)
-        d = 1
-        for pair in den:
-            d = field.mul(d, m[pair])
-        if d == 0:
-            misses += 1
-            if misses >= resample_limit:
-                raise ResampleLimitError(
-                    f"denominator stayed zero for {resample_limit} straight draws")
-            continue
-        misses = 0
-        n = 1
-        for pair in num:
-            n = field.mul(n, m[pair])
-        values.add(field.div(n, d))
-        if len(values) > 1:
-            return True
-        valid += 1
-    return False
-
-
-def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure):
+def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure,
+                                cache: dict | None = None):
     """Per-receiver decode requirement of the two-slot scheme.
 
     Yields (receiver, kind, payload): kind "dead" (no desired path),
     "conflict" (two interferers that cannot be aligned), "free" (nothing to
     test) or "ratio" (payload = cleared num/den pair lists that must stay a
-    non-constant ratio).
+    non-constant ratio).  `cache` is the bottleneck cache of the eta test.
     """
     for i in (1, 2, 3):
         if not rs.present[(i, i)]:
@@ -328,7 +302,7 @@ def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure):
             # V2 and V3 are both pinned to V1, so nothing is left to align
             # the two interference columns at receiver 1 with each other;
             # they coincide anyway exactly when eta is identically 1.
-            if not check_eta_one(sc):
+            if not check_eta_one(sc, cache):
                 yield i, "conflict", None
                 continue
         j = interferers[0]
@@ -342,21 +316,41 @@ def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure):
         yield i, "ratio", (num, den)
 
 
+def cross_ratio(num: Tuple[SessionPair, ...], den: Tuple[SessionPair, ...]
+                ) -> Optional[Tuple[int, int, int, int]]:
+    """Cancel a decode ratio of pair products down to m_ac*m_bd / (m_ad*m_bc).
+
+    Returns (a, b, c, d), or None when everything cancels and the ratio is
+    the constant 1.  Every ratio `reduced_receiver_conditions` yields has
+    one of these two shapes; any other is an internal error.
+    """
+    top, bottom = Counter(num), Counter(den)
+    top, bottom = top - bottom, bottom - top
+    if not top and not bottom:
+        return None
+    if sum(top.values()) == 2:
+        (a, c), (b, d) = sorted(top.elements())
+        if a != b and c != d and bottom == Counter([(a, d), (b, c)]):
+            return a, b, c, d
+    raise RuntimeError(f"decode ratio {num} / {den} is not a 2x2 cross ratio")
+
+
 def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool],
-                      field_bits: int, trials: int, seed: int) -> NetworkType:
+                      cache: dict) -> NetworkType:
     rs = reduced_structure(sc, conn)
-    f = shared_field(field_bits)
-    rng = random.Random(seed)
     dead = False
     feasible = True
-    for _, kind, payload in reduced_receiver_conditions(sc, rs):
+    for _, kind, payload in reduced_receiver_conditions(sc, rs, cache):
         if kind == "dead":
             dead = True
         elif kind == "conflict":
             feasible = False
         elif kind == "ratio":
-            num, den = payload
-            if not _ratio_nonconstant(sc, num, den, f, trials, rng):
+            # The pairs in a decode ratio are all present, so the cross ratio
+            # is a ratio of non-zero polynomials with GF(2) coefficients:
+            # constant only when identically 1, i.e. when the pair cut is 1.
+            abcd = cross_ratio(*payload)
+            if abcd is None or cut_by_pair(sc, abcd[:2], abcd[2:], cache) < 2:
                 feasible = False
     if dead:
         # A session with no path cannot carry anything, so no positive

@@ -9,6 +9,8 @@ algorithms can be checked against code that shares none of their machinery.
 
 import itertools
 
+from hypothesis import strategies as st
+
 from netalign.dag import Edge, Scenario
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
@@ -83,6 +85,25 @@ def random_connected_scenario(rng, max_tries=300):
                for j in (1, 2, 3) for i in (1, 2, 3)):
             return sc
     raise RuntimeError("could not draw a fully connected scenario")
+
+
+@st.composite
+def scenarios(draw, max_internals=4, max_links=8):
+    """Hypothesis strategy: small scenarios, fully connected or not.
+
+    Senders and receivers attach to random internal nodes, internal edges
+    run from lower to higher node index (parallel edges allowed), and edge
+    ids are a random permutation so that nothing may depend on them.
+    """
+    k = draw(st.integers(1, max_internals))
+    node = st.integers(0, k - 1)
+    pairs = [(f"s{i}", f"n{draw(node)}") for i in (1, 2, 3)]
+    pairs += [(f"n{draw(node)}", f"r{i}") for i in (1, 2, 3)]
+    for _ in range(draw(st.integers(0, max_links if k > 1 else 0))):
+        lo = draw(st.integers(0, k - 2))
+        pairs.append((f"n{lo}", f"n{draw(st.integers(lo + 1, k - 1))}"))
+    ids = draw(st.permutations(range(len(pairs))))
+    return make_scenario([(eid, t, h) for eid, (t, h) in zip(ids, pairs)])
 
 
 def permute_sessions(sc, perm):

@@ -167,6 +167,30 @@ def test_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary.scn"
+    path.write_bytes(b"edge 1 a b\xff\n")
+    assert main(["classify", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "0"],
+    ["simulate", "--n", "0"],
+    ["simulate", "--field-bits", "0"],
+    ["simulate", "--field-bits", "33"],
+    ["classify", "--field-bits", "40"],
+    ["classify", "--cross-check", "--trials", "0"],
+    ["classify", "--cross-check", "--trials", "-5"],
+])
+def test_out_of_range_flags_exit_2(tmp_path, capsys, argv):
+    path = corpus_file(tmp_path, "three_disjoint")
+    with pytest.raises(SystemExit) as stop:
+        main(argv[:1] + [path] + argv[1:])
+    assert stop.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_model_violation_file(tmp_path, capsys):
     path = tmp_path / "cycle.scn"
     path.write_text("\n".join([

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from genutils import (
     brute_alpha,
@@ -12,6 +13,7 @@ from genutils import (
     brute_parallel,
     random_connected_scenario,
     random_scenario,
+    scenarios,
 )
 from netalign import load_corpus
 from netalign.cuts import (
@@ -200,3 +202,15 @@ def test_pair_cuts_match_subset_oracle():
                                       [sc.sigma(a) for a in src_pair],
                                       [sc.tau(b) for b in dst_pair])
                 assert got == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenarios())
+def test_cut_by_pair_matches_brute_property(sc):
+    cache = {}
+    for src_pair in ((1, 2), (1, 3), (2, 3)):
+        for dst_pair in ((1, 2), (1, 3), (2, 3)):
+            want = brute_pair_cut(sc, [sc.sigma(a) for a in src_pair],
+                                  [sc.tau(b) for b in dst_pair])
+            assert cut_by_pair(sc, src_pair, dst_pair, cache) == want
+            assert cut_by_pair(sc, src_pair, dst_pair) == want

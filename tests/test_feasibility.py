@@ -1,6 +1,8 @@
 """Taxonomy checks: graph verdicts vs randomized identity evaluation."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,19 +15,21 @@ from genutils import (
     random_scenario,
 )
 from netalign import load_corpus
+import netalign.feasibility as feasibility
 from netalign.feasibility import (
     RATE_BY_KIND,
-    _ratio_nonconstant,
     check_eta_one,
     classify,
     connectivity_map,
     cross_check_verdicts,
+    cross_ratio,
+    randomized_identity_check,
     reduced_receiver_conditions,
     reduced_structure,
     report_identity_flags,
 )
 from netalign.gf2m import field
-from netalign.xfer import ResampleLimitError
+from netalign.xfer import SparsePoly, oracle_session_polys
 
 
 def graph_flags(sc):
@@ -214,18 +218,108 @@ def test_dead_session_yields_rate_zero():
     assert nt.half_feasible is False
 
 
-def test_ratio_nonconstant_hits_resample_limit():
-    sc = load_corpus("three_disjoint")  # m21 is identically zero
-    with pytest.raises(ResampleLimitError):
-        _ratio_nonconstant(sc, num=((1, 1),), den=((2, 1),), field=field(16),
-                           trials=3, rng=random.Random(0), resample_limit=5)
+# -- exact reduced verdicts --------------------------------------------------------
+
+PAIRS = [(j, i) for j in (1, 2, 3) for i in (1, 2, 3)]
 
 
-def test_classify_is_deterministic_per_seed():
-    sc = load_corpus("m21_dead")
-    for seed in (0, 7):
-        a = classify(sc, seed=seed)[1]
-        b = classify(sc, seed=seed)[1]
-        assert (a.kind, a.optimal_rate, a.half_feasible) == \
-               (b.kind, b.optimal_rate, b.half_feasible)
-        assert a.half_feasible is True
+def test_every_presence_map_cancels_to_a_cross_ratio():
+    # eta is identically 1 here, so a chain conflict at receiver 1 still
+    # yields its ratio and every branch of the generator is reached.
+    sc = load_corpus("eta_one_corridor")
+    shapes = Counter()
+    for bits in itertools.product((False, True), repeat=9):
+        present = dict(zip(PAIRS, bits))
+        for _, kind, payload in reduced_receiver_conditions(sc, reduced_structure(sc, present)):
+            if kind != "ratio":
+                continue
+            num, den = payload
+            assert all(present[pair] for pair in num + den)
+            top, bottom = Counter(num), Counter(den)
+            top, bottom = top - bottom, bottom - top
+            abcd = cross_ratio(num, den)
+            if abcd is None:
+                assert not top and not bottom
+                shapes["constant"] += 1
+            else:
+                a, b, c, d = abcd
+                assert a != b and c != d
+                assert top == Counter([(a, c), (b, d)])
+                assert bottom == Counter([(a, d), (b, c)])
+                shapes["cross"] += 1
+    assert shapes["cross"] > 0
+
+
+def test_cross_ratio_rejects_other_shapes():
+    assert cross_ratio(((1, 1), (2, 3)), ((2, 3), (1, 1))) is None
+    assert cross_ratio(((1, 1), (2, 3)), ((2, 1), (1, 3))) == (1, 2, 1, 3)
+    for num, den in ((((1, 1),), ((2, 1),)),
+                     (((1, 1), (2, 2)), ((1, 2), (1, 1))),
+                     (((1, 1), (1, 2)), ((1, 1), (1, 2), (3, 3)))):
+        with pytest.raises(RuntimeError):
+            cross_ratio(num, den)
+
+
+def _product(polys, pairs):
+    acc = SparsePoly.one()
+    for pair in pairs:
+        acc = acc * polys[pair]
+    return acc
+
+
+def oracle_reduced_rate(sc):
+    """Reduced rate with each decode ratio tested on exact polynomials.
+
+    A ratio of non-zero GF(2)-coefficient polynomials is constant exactly
+    when numerator and denominator are the same polynomial.
+    """
+    polys = oracle_session_polys(sc)
+    present = {pair: not p.is_zero() for pair, p in polys.items()}
+    if not all(present[(i, i)] for i in (1, 2, 3)):
+        return Fraction(0)
+    for _, kind, payload in reduced_receiver_conditions(sc, reduced_structure(sc, present)):
+        if kind == "conflict":
+            return Fraction(1, 3)
+        if kind == "ratio" and _product(polys, payload[0]) == _product(polys, payload[1]):
+            return Fraction(1, 3)
+    return Fraction(1, 2)
+
+
+def test_reduced_verdicts_match_oracle_products():
+    rng = random.Random(41)
+    rates = Counter()
+    while sum(rates.values()) < 300:
+        sc = random_scenario(rng)
+        report, nt = classify(sc)
+        if report.fully_connected:
+            continue
+        assert nt.kind == "Reduced"
+        assert nt.optimal_rate == oracle_reduced_rate(sc)
+        assert nt.half_feasible == (nt.optimal_rate == Fraction(1, 2))
+        rates[nt.optimal_rate] += 1
+    assert set(rates) == {Fraction(0), Fraction(1, 3), Fraction(1, 2)}
+
+
+def test_classify_is_deterministic(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("classify drew random coding coefficients")
+
+    monkeypatch.setattr(feasibility.CodingAssignment, "random", no_draws)
+    rng = random.Random(5)
+    scs = [load_corpus(name) for name in ("m21_dead", "three_disjoint", "rich_type3")]
+    scs += [random_scenario(rng) for _ in range(20)]
+    for sc in scs:
+        assert classify(sc) == classify(sc)
+    assert classify(load_corpus("m21_dead"))[1].half_feasible is True
+
+
+# -- randomized identity checks --------------------------------------------------
+
+
+def test_identity_checks_refuse_zero_trials():
+    sc = load_corpus("rich_type3")
+    for trials in (0, -5):
+        with pytest.raises(ValueError):
+            randomized_identity_check(sc, "eta_is_one", field(32), trials, random.Random(0))
+        with pytest.raises(ValueError):
+            cross_check_verdicts(sc, trials=trials)
