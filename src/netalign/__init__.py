@@ -40,14 +40,13 @@ from .pbna import (
 )
 from .xfer import (
     CodingAssignment,
-    DenomZeroError,
     ResampleLimitError,
     SparsePoly,
     TooLargeError,
-    evaluate_transfer,
     oracle_coupling_verdicts,
     oracle_session_polys,
     oracle_transfer_poly,
+    transfer_values,
 )
 
 __version__ = "0.1.0"

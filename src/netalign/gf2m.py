@@ -73,83 +73,14 @@ IRREDUCIBLE_POLY = {
 _TABLE_LIMIT = 16  # largest m for which exp/log tables are built
 
 
-def clmul(a: int, b: int) -> int:
-    """Carry-less product of two binary polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def poly_mod(a: int, p: int) -> int:
-    """Remainder of binary polynomial a modulo p."""
-    dp = p.bit_length() - 1
-    while a.bit_length() - 1 >= dp:
-        a ^= p << (a.bit_length() - 1 - dp)
-    return a
-
-
-def is_irreducible(p: int, m: int) -> bool:
-    """Rabin's irreducibility test for a degree-m binary polynomial."""
-    if p.bit_length() - 1 != m:
-        return False
-
-    def mulmod(a, b):
-        return poly_mod(clmul(a, b), p)
-
-    def pow_x(e):
-        result, base = 1, 2
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return result
-
-    def gcd(a, b):
-        while b:
-            a, b = b, poly_mod(a, b)
-        return a
-
-    if pow_x(1 << m) != poly_mod(2, p):
-        return False
-    n, q, prime_divisors = m, 2, []
-    while q * q <= n:
-        if n % q == 0:
-            prime_divisors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        prime_divisors.append(n)
-    for q in prime_divisors:
-        if gcd(p, pow_x(1 << (m // q)) ^ 2) != 1:
-            return False
-    return True
-
-
 class Field:
-    """GF(2^m) with a fixed built-in reduction polynomial.
+    """GF(2^m), 1 <= m <= 32, reduced by the built-in primitive polynomial."""
 
-    Parameters
-    ----------
-    m : extension degree, 1 <= m <= 32.
-    poly : optional custom reduction polynomial; must have degree m and be
-        irreducible.  Defaults to the built-in table entry.
-    """
-
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= 32:
             raise ValueError(f"extension degree must be in 1..32, got {m}")
-        if poly is None:
-            poly = IRREDUCIBLE_POLY[m]
-        elif not is_irreducible(poly, m):
-            raise ValueError(f"0x{poly:X} is not an irreducible polynomial of degree {m}")
         self.m = m
-        self.poly = poly
+        self.poly = IRREDUCIBLE_POLY[m]
         self.order = 1 << m
         self._exp: List[int] | None = None
         self._log: List[int] | None = None
@@ -157,9 +88,8 @@ class Field:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        # Tabulate powers of x.  Works only when x generates the whole
-        # multiplicative group (the built-in polynomials are primitive); a
-        # custom polynomial where the cycle closes early keeps the slow path.
+        # Tabulate powers of x, which generates the whole multiplicative
+        # group because every built-in polynomial is primitive.
         n = self.order - 1
         exp = [1] * (2 * n)
         log = [0] * self.order
@@ -172,8 +102,6 @@ class Field:
             acc = (acc << 1) & mask
             if carry:
                 acc ^= p & mask
-        if any(exp[i] == 1 for i in range(1, n)):
-            return  # x has a short cycle: not primitive, keep the slow path
         for i in range(n, 2 * n):
             exp[i] = exp[i - n]
         self._exp, self._log = exp, log
@@ -300,12 +228,15 @@ class Matrix:
             if pivot_row is None:
                 continue
             aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = f.inv(aug[r][c])
-            aug[r] = [f.mul(inv, v) for v in aug[r]]
+            # Rows r and below are zero left of column c, so the row
+            # operations start there.
+            row = aug[r]
+            inv = f.inv(row[c])
+            row[c:] = [f.mul(inv, v) for v in row[c:]]
             for i in range(len(aug)):
                 if i != r and aug[i][c]:
                     factor = aug[i][c]
-                    aug[i] = [v ^ f.mul(factor, w) for v, w in zip(aug[i], aug[r])]
+                    aug[i][c:] = [v ^ f.mul(factor, w) for v, w in zip(aug[i][c:], row[c:])]
             pivots.append(c)
             r += 1
         return pivots, aug
@@ -314,11 +245,12 @@ class Matrix:
         pivots, _ = self._eliminate([list(r) for r in self.rows], self.ncols)
         return len(pivots)
 
-    def solve(self, y: Sequence[int]) -> Tuple[List[int], bool]:
+    def solve(self, y: Sequence[int]) -> Tuple[List[int], List[int]]:
         """Solve M z = y exactly.
 
-        Returns (z, unique) where z is some solution (free variables set to
-        zero) and unique is True when the kernel is trivial.  Raises
+        Returns (z, pivots): z is some solution (free variables set to zero)
+        and pivots lists the pivot columns in increasing order; the solution
+        is unique iff every column is a pivot.  Raises
         InconsistentSystemError when no solution exists.
         """
         if len(y) != self.nrows:
@@ -331,7 +263,7 @@ class Matrix:
         z = [0] * self.ncols
         for i, c in enumerate(pivots):
             z[c] = aug[i][self.ncols]
-        return z, len(pivots) == self.ncols
+        return z, pivots
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over GF(2^{self.field.m}))"

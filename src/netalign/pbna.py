@@ -26,10 +26,16 @@ Four plan shapes cover the taxonomy of `netalign.feasibility`:
 * TrivialThird: N = 3, k = (1, 1, 1), one independent random column per
   sender; time sharing in disguise, no alignment needed.
 
+Receiver i sees its desired block D (sender i's data columns, scaled by
+m_ii) and one interference block per other sender (the full V_j, scaled by
+m_ji).  It decodes exactly when D is independent of the interference:
+one elimination of [I | D] accepts iff every desired column is a pivot,
+i.e. rank([I | D]) = rank(I) + k_i.  `check_rank` is that rule at y = 0.
+
 `simulate` draws a fresh scheme every trial, pushes the encoded symbols
-through the network with purely local per-node updates (`propagate` never
-touches transfer functions), decodes each receiver by exact Gaussian
-elimination, and counts exact recoveries.
+through the network with purely local per-node updates (`propagate` sweeps
+the injected symbols and never reads the m_ji values), decodes each
+receiver by that rule, and counts exact recoveries.
 """
 
 from __future__ import annotations
@@ -49,15 +55,14 @@ from .gf2m import Field, InconsistentSystemError, Matrix
 from .xfer import (
     RATIOS,
     CodingAssignment,
-    RatioSpec,
     ResampleLimitError,
     SessionPair,
+    pair_ratio,
     session_transfer_matrix,
+    transfer_values,
 )
 
 RESAMPLE_LIMIT = 100
-
-_ALL_PAIRS = tuple((j, i) for j in (1, 2, 3) for i in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,6 @@ class EvaluatedScheme:
     V: Tuple[Matrix, Matrix, Matrix]
     data_cols: Tuple[Tuple[int, ...], ...]
     eta_vals: List[Optional[int]]
-    p_vals: Dict[str, List[Optional[int]]]
     structure: Optional[ReducedStructure]
     resamples: int
 
@@ -141,34 +145,6 @@ class EvaluatedScheme:
         """diag(m_ji per slot) times V_j (or its data columns)."""
         base = self.sender_matrix(j) if data_only else self.V[j - 1]
         return base.scale_rows(self.m_vals[(j, i)])
-
-
-def _ratio_slots(m_vals: Dict[SessionPair, List[int]], spec: RatioSpec,
-                 field: Field, slots: int) -> List[Optional[int]]:
-    vals: List[Optional[int]] = []
-    for t in range(slots):
-        den = 1
-        for pair in spec.denominator:
-            den = field.mul(den, m_vals[pair][t])
-        if den == 0:
-            vals.append(None)
-            continue
-        num = 1
-        for pair in spec.numerator:
-            num = field.mul(num, m_vals[pair][t])
-        vals.append(field.div(num, den))
-    return vals
-
-
-def _profile_value(m_vals: Dict[SessionPair, List[int]], rs: ReducedStructure,
-                   idx: int, field: Field, t: int) -> int:
-    den = 1
-    for pair in rs.profile_den[idx]:
-        den = field.mul(den, m_vals[pair][t])
-    num = 1
-    for pair in rs.profile_num[idx]:
-        num = field.mul(num, m_vals[pair][t])
-    return field.div(num, den)  # denominators kept nonzero by resampling
 
 
 def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
@@ -189,7 +165,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
         den_pairs = ()
 
     assignments: List[CodingAssignment] = []
-    m_vals: Dict[SessionPair, List[int]] = {pair: [] for pair in _ALL_PAIRS}
+    slots: List[Dict[SessionPair, int]] = []
     misses = 0
     resamples = 0
     while len(assignments) < plan.N:
@@ -204,13 +180,13 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
             continue
         misses = 0
         assignments.append(x)
-        for pair in _ALL_PAIRS:
-            m_vals[pair].append(m[pair])
+        slots.append(m)
 
     N = plan.N
-    eta_vals = _ratio_slots(m_vals, RATIOS["eta"], field, N)
-    p_vals = {name: _ratio_slots(m_vals, RATIOS[name], field, N)
-              for name in ("p1", "p2", "p3")}
+    m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
+    eta_spec = RATIOS["eta"]
+    eta_vals = [pair_ratio(field, m, eta_spec.numerator, eta_spec.denominator)
+                for m in slots]
 
     theta: Dict[int, List[int]] = {}
     if plan.kind in ("EtaGeneral", "TypeTwoFive"):
@@ -234,8 +210,9 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
         columns = []
         for idx in range(3):
             base_vals = theta[structure.base[idx]]
-            col = [[field.mul(_profile_value(m_vals, structure, idx, field, t),
-                              base_vals[t])]
+            num, den = structure.profile_num[idx], structure.profile_den[idx]
+            # denominators kept nonzero by resampling
+            col = [[field.mul(pair_ratio(field, slots[t], num, den), base_vals[t])]
                    for t in range(N)]
             columns.append(Matrix(field, col))
         v1, v2, v3 = columns
@@ -251,161 +228,87 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
     return EvaluatedScheme(plan=plan, sc=sc, field=field, assignments=assignments,
                            m_vals=m_vals, theta=theta, V=(v1, v2, v3),
-                           data_cols=data_cols, eta_vals=eta_vals, p_vals=p_vals,
+                           data_cols=data_cols, eta_vals=eta_vals,
                            structure=structure, resamples=resamples)
+
+
+def _receiver(es: EvaluatedScheme, i: int) -> Tuple[Matrix, List[Matrix]]:
+    """What receiver i sees: its desired block and its interference blocks.
+
+    The desired block is sender i's data columns as received; the
+    interference is the full received block of each other sender.  A sender
+    with no path to receiver i contributes a zero block, which changes no
+    rank and no pivot, so it needs no special case.
+    """
+    return (es.received_block(i, i, data_only=True),
+            [es.received_block(j, i) for j in (1, 2, 3) if j != i])
 
 
 def check_alignment(es: EvaluatedScheme) -> bool:
     """Do the interfering signals collapse as the plan promises?
 
-    Fully connected plans are held to span conditions: the two interference
-    blocks at receiver 1 span the same space, and the sender-3 blocks at
-    receivers 2 and 3 land inside the sender-1 spans.  TrivialThird packs
-    k1+k2+k3 = N symbols, so there is nothing to collapse.  On reduced
-    networks only the dimension count is meaningful: combined interference
-    at receiver i must fit in the N - k_i leftover dimensions.
+    On reduced networks only the dimension count is meaningful: combined
+    interference at receiver i must fit in the N - k_i leftover dimensions.
+    Otherwise the narrower of receiver i's two interference blocks must lie
+    in the span of the wider one, in both directions when they are equally
+    wide.  TrivialThird packs k1+k2+k3 = N symbols, so there is nothing to
+    collapse.
     """
     plan = es.plan
     if plan.kind == "TrivialThird":
         return True
-    if es.reduced:
-        for i in (1, 2, 3):
-            blocks = [es.received_block(j, i) for j in (1, 2, 3)
-                      if j != i and es.structure.present[(j, i)]]
-            if len(blocks) < 2:
-                continue
-            if Matrix.hstack(blocks).rank() > plan.N - plan.k[i - 1]:
-                return False
-        return True
-    b21, b31 = es.received_block(2, 1), es.received_block(3, 1)
-    if not (Matrix.hstack([b21, b31]).rank() == b21.rank() == b31.rank()):
-        return False
-    b12, b32 = es.received_block(1, 2), es.received_block(3, 2)
-    if Matrix.hstack([b12, b32]).rank() != b12.rank():
-        return False
-    b13, b23 = es.received_block(1, 3), es.received_block(2, 3)
-    return Matrix.hstack([b13, b23]).rank() == b13.rank()
+    for i in (1, 2, 3):
+        _, blocks = _receiver(es, i)
+        joint = Matrix.hstack(blocks).rank()
+        if es.reduced:
+            ok = joint <= plan.N - plan.k[i - 1]
+        else:
+            wide = max(b.ncols for b in blocks)
+            ok = all(b.rank() == joint for b in blocks if b.ncols == wide)
+        if not ok:
+            return False
+    return True
 
 
 def check_rank(es: EvaluatedScheme) -> Tuple[bool, bool, bool]:
     """Can each receiver separate its desired symbols at this draw?
 
-    Receivers 1..3 of the square plans need rank N from [M11 V1 | M21 V2],
-    [M12 V1 | M22 V2] and [M13 V1 | M33 V3].  TypeTwoFive receiver 1 only
-    needs its 5x4 system at rank 4.  TrivialThird (and any reduced layout)
-    needs the desired columns independent of everything else received.
+    The decode rule of `simulate` at y = 0: receiver i passes when its k_i
+    desired columns are independent of each other and of its interference.
     """
-    plan, N = es.plan, es.plan.N
-    if plan.kind == "TrivialThird":
-        out = []
-        for i in (1, 2, 3):
-            full = Matrix.hstack([es.received_block(j, i) for j in (1, 2, 3)])
-            others = full.select_cols([c for c in range(3) if c != i - 1])
-            out.append(full.rank() == others.rank() + 1)
-        return tuple(out)
-    if plan.kind == "TypeTwoFive":
-        b1 = Matrix.hstack([es.received_block(1, 1, data_only=True),
-                            es.received_block(3, 1)]).rank() == 4
-        b2 = Matrix.hstack([es.received_block(1, 2),
-                            es.received_block(2, 2)]).rank() == N
-        b3 = Matrix.hstack([es.received_block(1, 3),
-                            es.received_block(3, 3)]).rank() == N
-        return (b1, b2, b3)
-    if es.reduced:
-        out = []
-        for i in (1, 2, 3):
-            desired = es.received_block(i, i)
-            blocks = [es.received_block(j, i) for j in (1, 2, 3)
-                      if j != i and es.structure.present[(j, i)]]
-            intf_rank = Matrix.hstack(blocks).rank() if blocks else 0
-            joint = Matrix.hstack([desired] + blocks)
-            out.append(joint.rank() == plan.k[i - 1] + intf_rank)
-        return tuple(out)
-    b1 = Matrix.hstack([es.received_block(1, 1), es.received_block(2, 1)]).rank() == N
-    b2 = Matrix.hstack([es.received_block(1, 2), es.received_block(2, 2)]).rank() == N
-    b3 = Matrix.hstack([es.received_block(1, 3), es.received_block(3, 3)]).rank() == N
-    return (b1, b2, b3)
+    zero = [0] * es.plan.N
+    return tuple(_decode(es, i, zero) is not None for i in (1, 2, 3))
 
 
 def propagate(sc: Scenario, x: CodingAssignment, field: Field,
               injected: Sequence[int]) -> Tuple[int, int, int]:
     """Push one slot's symbols through the network by local updates only.
 
-    Seeds sigma_i with injected[i-1], then walks edges in topological order
-    applying the per-node combination; returns the three tau values.
+    Injects injected[i-1] on sigma_i, sweeps the per-node combinations in
+    topological order and returns the three tau values.
     """
-    symbols: Dict[int, int] = {}
-    for j in (1, 2, 3):
-        symbols[sc.sigma(j)] = injected[j - 1]
-    senders = {sc.sigma(j) for j in (1, 2, 3)}
-    coeffs = x.coeffs
-    mul = field.mul
-    for eid in sc.topo_order:
-        if eid in senders:
-            continue
-        acc = 0
-        for prev in sc.prev_edges(eid):
-            v = symbols.get(prev)
-            if v:
-                acc ^= mul(coeffs[(prev, eid)], v)
-        if acc:
-            symbols[eid] = acc
+    symbols = transfer_values(sc, x, field,
+                              {sc.sigma(j): injected[j - 1] for j in (1, 2, 3)})
     return tuple(symbols.get(sc.tau(i), 0) for i in (1, 2, 3))
 
 
-def _proportional(field: Field, u: Sequence[int], v: Sequence[int]) -> bool:
-    """Is v a scalar multiple of u (u known nonzero)?"""
-    pivot = next(t for t, val in enumerate(u) if val)
-    ratio = field.div(v[pivot], u[pivot])
-    return all(v[t] == field.mul(ratio, u[t]) for t in range(len(u)))
-
-
 def _decode(es: EvaluatedScheme, i: int, y: Sequence[int]) -> Optional[List[int]]:
-    """Receiver i's exact decode; None when the draw leaves it ambiguous."""
-    plan, f = es.plan, es.field
-    k = plan.k
+    """Receiver i's exact decode; None when the draw leaves it ambiguous.
+
+    Solves [interference | desired] z = y and accepts iff every desired
+    column is a pivot, i.e. rank([I | D]) = rank(I) + k_i: the desired
+    symbols are then determined whatever the interference carries.
+    """
+    desired, blocks = _receiver(es, i)
+    system = Matrix.hstack(blocks + [desired])
+    first = system.ncols - desired.ncols
     try:
-        if plan.kind == "TrivialThird":
-            A = Matrix.hstack([es.received_block(j, i) for j in (1, 2, 3)])
-            others = A.select_cols([c for c in range(3) if c != i - 1])
-            if A.rank() != others.rank() + 1:
-                return None
-            z, _ = A.solve(y)
-            return [z[i - 1]]
-        if plan.kind == "EtaOne":
-            # Desired column plus a basis of whatever interference arrives.
-            blocks = [es.received_block(i, i)]
-            basis: List[List[int]] = []
-            for j in (1, 2, 3):
-                if j == i or not es.structure.present[(j, i)]:
-                    continue
-                col = es.received_block(j, i).col(0)
-                if not any(col):
-                    continue
-                if not basis or not _proportional(f, basis[0], col):
-                    basis.append(col)
-            blocks += [Matrix(f, [[v] for v in col]) for col in basis]
-            z, unique = Matrix.hstack(blocks).solve(y)
-            return [z[0]] if unique else None
-        if plan.kind == "TypeTwoFive":
-            if i == 1:
-                A = Matrix.hstack([es.received_block(1, 1, data_only=True),
-                                   es.received_block(2, 1)])
-                z, unique = A.solve(y)
-                return z[0:2] if unique else None
-            own = es.received_block(i, i)
-            z, unique = Matrix.hstack([es.received_block(1, i), own]).solve(y)
-            return z[3:5] if unique else None
-        # EtaGeneral: square systems, interference folded into one block.
-        if i == 1:
-            A = Matrix.hstack([es.received_block(1, 1), es.received_block(2, 1)])
-            z, unique = A.solve(y)
-            return z[:k[0]] if unique else None
-        own = es.received_block(i, i)
-        z, unique = Matrix.hstack([es.received_block(1, i), own]).solve(y)
-        return z[k[0]:k[0] + k[i - 1]] if unique else None
+        z, pivots = system.solve(y)
     except InconsistentSystemError:
         return None
+    if not set(range(first, system.ncols)) <= set(pivots):
+        return None
+    return z[first:]
 
 
 @dataclass

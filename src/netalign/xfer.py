@@ -7,15 +7,12 @@ m(src, dst) is the resulting end-to-end gain; expanded, it is the sum over
 all directed paths from src to dst of the product of the coding coefficients
 along the path (a k-edge path contributes k-1 coefficients).
 
-Two independent evaluators are provided and kept deliberately separate:
-
-* `evaluate_transfer` runs the linear recurrence in topological order and
-  returns the gain at one assignment of the coefficients; this is the fast
-  route used everywhere.
-* `oracle_transfer_poly` enumerates paths and returns the gain as an exact
-  sparse polynomial over GF(2); this is the slow route the tests trust.
-  Monomials with equal variable sets cancel in pairs, matching
-  characteristic-2 arithmetic.
+`transfer_values` runs that recurrence once in topological order from any
+set of injected edge values; every numeric transfer value in the package
+comes from it.  `oracle_transfer_poly` instead enumerates paths and returns
+m(src, dst) as an exact sparse polynomial over GF(2); it shares none of the
+recurrence and is the slow route the tests trust.  Monomials with equal
+variable sets cancel in pairs, matching characteristic-2 arithmetic.
 
 The nine session-to-session transfer functions m_ji (sender edge of session
 j to receiver edge of session i) combine into diagnostic ratios
@@ -32,16 +29,12 @@ the same table drives the exact oracle and the randomized point tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dag import Scenario
 from .gf2m import Field
 
 PATH_LIMIT = 1 << 20
-
-
-class DenomZeroError(ArithmeticError):
-    """A ratio's denominator evaluated to zero; caller should resample."""
 
 
 class TooLargeError(ValueError):
@@ -69,57 +62,36 @@ class CodingAssignment:
         return self.coeffs[pair]
 
 
-def transfer_values(sc: Scenario, x: CodingAssignment, field: Field, src: int) -> Dict[int, int]:
-    """Gains from edge src to every edge, at one coefficient assignment.
+def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
+                    sources: Dict[int, int]) -> Dict[int, int]:
+    """Symbol on every edge when each edge in `sources` injects its value.
 
-    Single pass in topological order: gain(src) = 1 and every later edge
-    accumulates gain(e) = sum x_{e'e} gain(e').  Edges with zero gain are
-    omitted from the result.
+    Single pass in topological order from the earliest source: every edge
+    carries its injected value (zero for most) plus sum x_{e'e} value(e')
+    over the edges e' into its tail.  With sources {src: 1} the values are
+    the gains m(src, e).  Edges whose value is zero are omitted.
     """
-    gains: Dict[int, int] = {src: 1}
+    values: Dict[int, int] = {}
+    inject = sources.get
     coeffs = x.coeffs
     mul = field.mul
-    lo = sc.topo_pos[src]
-    for eid in sc.topo_order[lo + 1:]:
-        acc = 0
+    lo = min(sc.topo_pos[eid] for eid in sources)
+    for eid in sc.topo_order[lo:]:
+        acc = inject(eid, 0)
         for prev in sc.prev_edges(eid):
-            g = gains.get(prev)
-            if g:
-                acc ^= mul(coeffs[(prev, eid)], g)
+            v = values.get(prev)
+            if v:
+                acc ^= mul(coeffs[(prev, eid)], v)
         if acc:
-            gains[eid] = acc
-    return gains
-
-
-def evaluate_transfer(sc: Scenario, x: CodingAssignment, field: Field,
-                      src: int, dst: int) -> int:
-    """m(src, dst) at one assignment, by the topological recurrence."""
-    if src == dst:
-        return 1
-    gains: Dict[int, int] = {src: 1}
-    pos = sc.topo_pos
-    lo = pos[src]
-    hi = pos[dst]
-    if lo > hi:
-        return 0
-    coeffs = x.coeffs
-    mul = field.mul
-    for eid in sc.topo_order[lo + 1:hi + 1]:
-        acc = 0
-        for prev in sc.prev_edges(eid):
-            g = gains.get(prev)
-            if g:
-                acc ^= mul(coeffs[(prev, eid)], g)
-        if acc:
-            gains[eid] = acc
-    return gains.get(dst, 0)
+            values[eid] = acc
+    return values
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
     """All nine m_ji values at one assignment (three passes, one per sender)."""
     out: Dict[Tuple[int, int], int] = {}
     for j in (1, 2, 3):
-        gains = transfer_values(sc, x, field, sc.sigma(j))
+        gains = transfer_values(sc, x, field, {sc.sigma(j): 1})
         for i in (1, 2, 3):
             out[(j, i)] = gains.get(sc.tau(i), 0)
     return out
@@ -280,19 +252,20 @@ RATIOS: Dict[str, RatioSpec] = {
 }
 
 
-def evaluate_ratio(sc: Scenario, x: CodingAssignment, field: Field,
-                   spec: RatioSpec) -> int:
-    """Ratio value at one assignment; DenomZeroError when undefined there."""
-    m = session_transfer_matrix(sc, x, field)
-    den = 1
-    for pair in spec.denominator:
-        den = field.mul(den, m[pair])
-    if den == 0:
-        raise DenomZeroError(spec.kind)
-    num = 1
-    for pair in spec.numerator:
-        num = field.mul(num, m[pair])
-    return field.div(num, den)
+def pair_product(field: Field, m: Dict[SessionPair, int],
+                 pairs: Sequence[SessionPair]) -> int:
+    """Product of the transfer values m_ji over a list of (j, i) pairs."""
+    acc = 1
+    for pair in pairs:
+        acc = field.mul(acc, m[pair])
+    return acc
+
+
+def pair_ratio(field: Field, m: Dict[SessionPair, int], num: Sequence[SessionPair],
+               den: Sequence[SessionPair]) -> Optional[int]:
+    """Quotient of two pair products; None where the denominator is zero."""
+    d = pair_product(field, m, den)
+    return field.div(pair_product(field, m, num), d) if d else None
 
 
 # Cross-multiplied, denominator-free forms of the ten coupling relations.
@@ -337,10 +310,7 @@ def evaluate_identity_sides(name: str, m: Dict[SessionPair, int], field: Field) 
     def side(products: Products) -> int:
         acc = 0
         for prod in products:
-            term = 1
-            for pair in prod:
-                term = field.mul(term, m[pair])
-            acc ^= term
+            acc ^= pair_product(field, m, prod)
         return acc
 
     return side(lhs), side(rhs)

@@ -5,6 +5,8 @@ instances of the three-session model; the oracles recompute reachability,
 bottlenecks and cuts from first principles (fresh searches over the raw
 edge lists, per-edge removal, subset enumeration) so the library's
 algorithms can be checked against code that shares none of their machinery.
+The exception is two small readers, `transfer` and `evaluate_ratio`, which
+take single values off the library's own sweep for tests that need them.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import itertools
 from hypothesis import strategies as st
 
 from netalign.dag import Edge, Scenario
+from netalign.xfer import pair_ratio, session_transfer_matrix, transfer_values
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
 
@@ -137,6 +140,20 @@ def layered_dag(rng, width=10, gaps=480, extra=394):
     for i in (1, 2, 3):
         add(f"L{gaps}_{i - 1}", f"r{i}")
     return make_scenario(triples)
+
+
+# -- single values read off the library sweep ---------------------------------
+
+
+def transfer(sc, x, field, src, dst):
+    """m(src, dst) at one assignment."""
+    return transfer_values(sc, x, field, {src: 1}).get(dst, 0)
+
+
+def evaluate_ratio(sc, x, field, spec):
+    """A diagnostic ratio at one assignment; None where its denominator is zero."""
+    m = session_transfer_matrix(sc, x, field)
+    return pair_ratio(field, m, spec.numerator, spec.denominator)
 
 
 # -- brute-force reachability (raw edge data only) ---------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from genutils import make_scenario, random_connected_scenario
-from netalign import load_corpus
+from genutils import make_scenario, random_connected_scenario, transfer
+from netalign import corpus_names, load_corpus
 from netalign.feasibility import NetworkType, classify
 from netalign.gf2m import field
 from netalign.pbna import (
@@ -18,7 +18,7 @@ from netalign.pbna import (
     propagate,
     simulate,
 )
-from netalign.xfer import CodingAssignment, ResampleLimitError, evaluate_transfer, session_transfer_matrix
+from netalign.xfer import CodingAssignment, ResampleLimitError, session_transfer_matrix
 
 F16 = field(16)
 
@@ -78,7 +78,7 @@ def test_slot_values_are_transfer_functions():
     for t, x in enumerate(es.assignments):
         for j in (1, 2, 3):
             for i in (1, 2, 3):
-                want = evaluate_transfer(sc, x, F16, sc.sigma(j), sc.tau(i))
+                want = transfer(sc, x, F16, sc.sigma(j), sc.tau(i))
                 assert es.m_vals[(j, i)][t] == want
 
 
@@ -193,6 +193,29 @@ def test_coupled_network_defeats_half_rate_plans():
             es = evaluate_precoding(sc, plan, F16, rng)
             assert check_alignment(es)  # interference aligns fine...
             assert check_rank(es)[0] is False  # ...but swallows the signal
+
+
+def test_rank_verdict_is_decode_outcome_for_every_pairing():
+    # check_rank must say exactly which receivers recover data sent through
+    # the network at the same draw, matched or mismatched plan alike;
+    # simulate with one trial replays the draw evaluate_precoding makes
+    # from the same seed.
+    plans = (PrecodingPlan.eta_general(2), PrecodingPlan.eta_one(),
+             PrecodingPlan.type_two_five(), PrecodingPlan.trivial_third())
+    compared = 0
+    for name in corpus_names():
+        sc = load_corpus(name)
+        for plan in plans:
+            for seed in range(20):
+                try:
+                    es = evaluate_precoding(sc, plan, F16, random.Random(seed))
+                except ResampleLimitError:
+                    break  # a needed transfer function is identically zero
+                res = simulate(sc, plan, trials=1, field=F16, seed=seed)
+                decoded = tuple(fails == 0 for fails in res.receiver_failures)
+                assert check_rank(es) == decoded, (name, plan.kind, seed)
+                compared += 1
+    assert compared >= 400
 
 
 # -- simulation --------------------------------------------------------------------
