@@ -66,16 +66,11 @@ def _classification_fields(report: CouplingReport, nt: NetworkType) -> Dict:
                          for j in (1, 2, 3)],
         "type": nt.kind,
         "optimal_rate": str(nt.optimal_rate),
-        "eta_is_one": report.eta_is_one,
         "half_feasible": nt.half_feasible,
     }
-    for i in (1, 2, 3):
-        pos = report.p_is_one[i - 1] if report.p_is_one is not None else None
-        pet = report.p_is_eta[i - 1] if report.p_is_eta is not None else None
-        thr = report.third_relation[i - 1] if report.third_relation is not None else None
-        out[f"p{i}_is_one"] = pos
-        out[f"p{i}_is_eta"] = pet
-        out[f"third_relation_{i}"] = thr
+    # One graph verdict per coupling identity, None off full connectivity.
+    out.update(report_identity_flags(report) if report.fully_connected
+               else dict.fromkeys(COUPLING_IDENTITIES))
     return out
 
 
@@ -92,12 +87,11 @@ def cmd_classify(args) -> int:
     }
     doc.update(_classification_fields(report, nt))
     if args.cross_check:
-        graph_flags = report_identity_flags(report) if report.fully_connected else {}
         checks = {}
         for name, verdict in cross_check_verdicts(sc, field_bits=args.field_bits,
                                                   trials=args.trials,
                                                   seed=seed).items():
-            graph = graph_flags.get(name)
+            graph = doc[name]
             checks[name] = {
                 "randomized": verdict.all_equal,
                 "graph": graph,

@@ -149,7 +149,7 @@ def min_cut(sc: Scenario, sources: Iterable[int], sinks: Iterable[int]) -> int:
 
     for e in sc.edges:
         arc(("i", e.id), ("o", e.id), 1)
-        for nxt in sc.next_edges(e.id):
+        for nxt in sc.succ[e.id]:
             arc(("o", e.id), ("i", nxt), _INF)
     for s in sources:
         arc("S", ("i", s), 1)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
@@ -139,20 +140,11 @@ class Scenario:
 
     # -- adjacency and reachability ----------------------------------------
 
-    def next_edges(self, eid: int) -> List[int]:
-        return self.succ[eid]
-
-    def prev_edges(self, eid: int) -> List[int]:
-        return self.pred[eid]
-
-    def adjacent_pairs(self) -> List[Tuple[int, int]]:
-        """All (upstream, downstream) edge pairs meeting at a node."""
-        pairs = []
-        for v in self.nodes:
-            for a in self.in_edges[v]:
-                for b in self.out_edges[v]:
-                    pairs.append((a, b))
-        return pairs
+    @cached_property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        """All (upstream, downstream) edge pairs meeting at a node, by node."""
+        return tuple((a, b) for v in self.nodes
+                     for a in self.in_edges[v] for b in self.out_edges[v])
 
     def reachable_edges(self, start: int, forward: bool = True,
                         banned: Iterable[int] = ()) -> FrozenSet[int]:

@@ -25,7 +25,9 @@ non-constancy instead.  That test is exact and graph-only too: after
 cancelling the transfer functions common to numerator and denominator,
 each ratio is a 2x2 cross ratio m_ac*m_bd / (m_ad*m_bc) of present
 transfer functions, which is constant (identically 1) exactly when the
-pair cut between senders {a, b} and receivers {c, d} is at most 1.
+pair cut between senders {a, b} and receivers {c, d} is at most 1.  The
+chain of alignment constraints behind those ratios (`reduced_structure`)
+builds every precoding plan of `netalign.pbna`, reduced or not.
 
 Every graph verdict can be cross-checked numerically: each relation has a
 denominator-free polynomial identity that is evaluated at random
@@ -225,24 +227,26 @@ def report_identity_flags(report: CouplingReport) -> Dict[str, bool]:
 
 @dataclass
 class ReducedStructure:
-    """Shape of the two-slot free-choice scheme on a reduced network.
+    """The alignment chain: which senders share a free column, at what gain.
 
-    Each sender j transmits profile_j(x) * (its theta base vector); bases
-    are shared exactly when an alignment constraint chains two senders
-    together.  Profiles are ratios of transfer-function products, stored as
-    (numerator pairs, denominator pairs).
+    Each sender j transmits profile_j(x) times the column family of its base
+    block; bases are shared exactly when an alignment constraint chains two
+    senders together.  Profiles are ratios of transfer-function products,
+    stored as (numerator pairs, denominator pairs); sender 1's is always 1.
     """
 
     present: Dict[SessionPair, bool]
-    base: Tuple[int, int, int]  # theta block index per sender
+    base: Tuple[int, int, int]  # column block index per sender
     profile_num: Tuple[Tuple[SessionPair, ...], ...]
     profile_den: Tuple[Tuple[SessionPair, ...], ...]
-    chain_conflict: bool  # all three alignment constraints active at once
 
 
-def reduced_structure(sc: Scenario, present: Dict[SessionPair, bool] | None = None) -> ReducedStructure:
-    if present is None:
-        present = connectivity_map(sc)
+def reduced_structure(present: Dict[SessionPair, bool]) -> ReducedStructure:
+    """Chain the alignment constraints that a 3x3 presence map keeps.
+
+    Every precoding plan is built from it: from the all-present map (every
+    constraint), the all-absent map (none) or the network's own map.
+    """
     # Alignment constraint at receiver i is real only when both of its
     # interferers actually reach it.
     a1 = present[(2, 1)] and present[(3, 1)]
@@ -277,18 +281,17 @@ def reduced_structure(sc: Scenario, present: Dict[SessionPair, bool] | None = No
         base=tuple(base),
         profile_num=tuple(num),
         profile_den=tuple(den),
-        chain_conflict=a1 and a2 and a3,
     )
 
 
-def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure,
-                                cache: dict | None = None):
+def reduced_receiver_conditions(rs: ReducedStructure):
     """Per-receiver decode requirement of the two-slot scheme.
 
-    Yields (receiver, kind, payload): kind "dead" (no desired path),
-    "conflict" (two interferers that cannot be aligned), "free" (nothing to
-    test) or "ratio" (payload = cleared num/den pair lists that must stay a
-    non-constant ratio).  `cache` is the bottleneck cache of the eta test.
+    Yields (receiver, kind, payload): kind "dead" (no desired path), "free"
+    (nothing to test) or "ratio" (payload = cleared num/den pair lists that
+    must stay a non-constant ratio).  A reduced map that keeps all three
+    alignment constraints keeps all six cross pairs, so one of its m_ii is
+    missing and that receiver is dead.
     """
     for i in (1, 2, 3):
         if not rs.present[(i, i)]:
@@ -298,13 +301,6 @@ def reduced_receiver_conditions(sc: Scenario, rs: ReducedStructure,
         if not interferers:
             yield i, "free", None
             continue
-        if i == 1 and len(interferers) == 2 and rs.chain_conflict:
-            # V2 and V3 are both pinned to V1, so nothing is left to align
-            # the two interference columns at receiver 1 with each other;
-            # they coincide anyway exactly when eta is identically 1.
-            if not check_eta_one(sc, cache):
-                yield i, "conflict", None
-                continue
         j = interferers[0]
         gi_num, gi_den = rs.profile_num[i - 1], rs.profile_den[i - 1]
         gj_num, gj_den = rs.profile_num[j - 1], rs.profile_den[j - 1]
@@ -337,14 +333,11 @@ def cross_ratio(num: Tuple[SessionPair, ...], den: Tuple[SessionPair, ...]
 
 def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool],
                       cache: dict) -> NetworkType:
-    rs = reduced_structure(sc, conn)
     dead = False
     feasible = True
-    for _, kind, payload in reduced_receiver_conditions(sc, rs, cache):
+    for _, kind, payload in reduced_receiver_conditions(reduced_structure(conn)):
         if kind == "dead":
             dead = True
-        elif kind == "conflict":
-            feasible = False
         elif kind == "ratio":
             # The pairs in a decode ratio are all present, so the cross ratio
             # is a ratio of non-zero polynomials with GF(2) coefficients:

@@ -6,25 +6,26 @@ of the network performs random linear coding, so receiver i observes
 
     Y_i = sum_j diag(m_ji(x^(1)), ..., m_ji(x^(N))) V_j X_j.
 
-Four plan shapes cover the taxonomy of `netalign.feasibility`:
+A plan is the alignment constraints it enforces plus a column family.  One
+chain, `netalign.feasibility.reduced_structure`, turns the constraints into
+a gain profile g_j (a ratio of transfer functions, per slot) and a base
+block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j:
 
-* EtaGeneral(n): N = 2n+1, k = (n+1, n, n).  With T the diagonal matrix of
-  per-slot eta values and w the all-ones column, V1 = (w, Tw, ..., T^n w),
-  V2 = diag(m13/m23) (w, ..., T^{n-1} w), V3 = diag(m12/m32) (Tw, ..., T^n w).
-  Interference aligns at every non-degenerate draw: the receiver-1 blocks
-  satisfy M21 V2 = M31 V3 column for column, and the cross blocks at
-  receivers 2 and 3 land inside the spans of M12 V1 and M13 V1.
-* EtaOne: N = 2, k = (1, 1, 1), for networks where eta is identically 1.
-  V1 = theta, V2 = diag(m13/m23) theta, V3 = diag(m12/m32) theta, theta a
-  free random column.  The same code serves reduced networks: the chain of
-  surviving alignment constraints (`reduced_structure`) decides each
-  sender's gain profile and which free column it rides on.
+* EtaGeneral(n): N = 2n+1, k = (n+1, n, n), every constraint, so g = (1,
+  m13/m23, m12/m32).  With T the diagonal matrix of per-slot eta values and
+  w the all-ones column, C1 = (w, ..., T^n w), C2 = (w, ..., T^{n-1} w) and
+  C3 = (Tw, ..., T^n w).  Interference aligns at every non-degenerate draw:
+  the receiver-1 blocks satisfy M21 V2 = M31 V3 column for column, and the
+  cross blocks at receivers 2 and 3 land inside the spans of M12 V1 and M13 V1.
 * TypeTwoFive: N = 5, k = (2, 2, 2).  The EtaGeneral n=2 matrices, except
   sender 1 transmits only on columns {w, T^2 w}: on these networks the
   middle desired column is forced into the interference span at receiver 1,
   and giving it up restores decodability at rate 2/5.
-* TrivialThird: N = 3, k = (1, 1, 1), one independent random column per
-  sender; time sharing in disguise, no alignment needed.
+* EtaOne: N = 2, k = (1, 1, 1), the constraints the network has (all of
+  them where eta is identically 1); each base block is a free random
+  column theta, shared by the senders the chain ties together.
+* TrivialThird: N = 3, k = (1, 1, 1), no constraint: three independent
+  random columns, time sharing in disguise.
 
 Receiver i sees its desired block D (sender i's data columns, scaled by
 m_ii) and one interference block per other sender (the full V_j, scaled by
@@ -49,6 +50,7 @@ from .dag import Scenario
 from .feasibility import (
     NetworkType,
     ReducedStructure,
+    connectivity_map,
     reduced_structure,
 )
 from .gf2m import Field, InconsistentSystemError, Matrix
@@ -122,20 +124,18 @@ class EvaluatedScheme:
     """
 
     plan: PrecodingPlan
-    sc: Scenario
-    field: Field
     assignments: List[CodingAssignment]
     m_vals: Dict[SessionPair, List[int]]
     theta: Dict[int, List[int]]
     V: Tuple[Matrix, Matrix, Matrix]
     data_cols: Tuple[Tuple[int, ...], ...]
     eta_vals: List[Optional[int]]
-    structure: Optional[ReducedStructure]
+    structure: ReducedStructure
     resamples: int
 
     @property
     def reduced(self) -> bool:
-        return self.structure is not None and not all(self.structure.present.values())
+        return not all(self.structure.present.values())
 
     def sender_matrix(self, j: int) -> Matrix:
         """The N x k_j matrix sender j actually encodes with."""
@@ -147,6 +147,13 @@ class EvaluatedScheme:
         return base.scale_rows(self.m_vals[(j, i)])
 
 
+_PAIRS = [(j, i) for j in (1, 2, 3) for i in (1, 2, 3)]
+# Every alignment constraint enforced (EtaGeneral, TypeTwoFive) or none
+# (TrivialThird); EtaOne enforces the ones its network has.
+ALIGNED = reduced_structure(dict.fromkeys(_PAIRS, True))
+UNALIGNED = reduced_structure(dict.fromkeys(_PAIRS, False))
+
+
 def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
                        rng: random.Random) -> EvaluatedScheme:
     """Draw one concrete scheme: N coding assignments plus free scalars.
@@ -155,14 +162,18 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     denominator is redrawn in full; RESAMPLE_LIMIT consecutive bad draws
     raise ResampleLimitError (tiny field or degenerate topology).
     """
-    structure = None
-    if plan.kind == "EtaOne":
-        structure = reduced_structure(sc)
-        den_pairs = tuple(sorted({p for prof in structure.profile_den for p in prof}))
-    elif plan.kind in ("EtaGeneral", "TypeTwoFive"):
-        den_pairs = ((1, 2), (2, 3), (3, 1), (3, 2))
+    if plan.kind in ("EtaGeneral", "TypeTwoFive"):
+        chain = ALIGNED
+    elif plan.kind == "EtaOne":
+        chain = reduced_structure(connectivity_map(sc))
+    elif plan.kind == "TrivialThird":
+        chain = UNALIGNED
     else:
-        den_pairs = ()
+        raise ValueError(f"unknown plan kind {plan.kind!r}")
+    eta_spec = RATIOS["eta"]
+    den_pairs = {p for prof in chain.profile_den for p in prof}
+    if plan.n is not None:
+        den_pairs.update(eta_spec.denominator)
 
     assignments: List[CodingAssignment] = []
     slots: List[Dict[SessionPair, int]] = []
@@ -184,52 +195,30 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
     N = plan.N
     m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
-    eta_spec = RATIOS["eta"]
     eta_vals = [pair_ratio(field, m, eta_spec.numerator, eta_spec.denominator)
                 for m in slots]
 
-    theta: Dict[int, List[int]] = {}
-    if plan.kind in ("EtaGeneral", "TypeTwoFive"):
-        n = plan.n
-        g2 = [field.div(m_vals[(1, 3)][t], m_vals[(2, 3)][t]) for t in range(N)]
-        g3 = [field.div(m_vals[(1, 2)][t], m_vals[(3, 2)][t]) for t in range(N)]
-        eta = eta_vals  # fully defined: every eta denominator was resampled
-        v1 = Matrix(field, [[field.pow(eta[t], c) for c in range(n + 1)]
-                            for t in range(N)])
-        v2 = Matrix(field, [[field.mul(g2[t], field.pow(eta[t], c)) for c in range(n)]
-                            for t in range(N)])
-        v3 = Matrix(field, [[field.mul(g3[t], field.pow(eta[t], c)) for c in range(1, n + 1)]
-                            for t in range(N)])
-        if plan.kind == "TypeTwoFive":
-            data_cols = ((0, 2), (0, 1), (0, 1))
-        else:
-            data_cols = (tuple(range(n + 1)), tuple(range(n)), tuple(range(n)))
-    elif plan.kind == "EtaOne":
-        for b in sorted(set(structure.base)):
-            theta[b] = [field.rand(rng) for _ in range(N)]
-        columns = []
-        for idx in range(3):
-            base_vals = theta[structure.base[idx]]
-            num, den = structure.profile_num[idx], structure.profile_den[idx]
-            # denominators kept nonzero by resampling
-            col = [[field.mul(pair_ratio(field, slots[t], num, den), base_vals[t])]
-                   for t in range(N)]
-            columns.append(Matrix(field, col))
-        v1, v2, v3 = columns
-        data_cols = ((0,), (0,), (0,))
-    elif plan.kind == "TrivialThird":
-        for b in (0, 1, 2):
-            theta[b] = [field.rand(rng) for _ in range(N)]
-        v1, v2, v3 = (Matrix(field, [[theta[b][t]] for t in range(N)])
-                      for b in (0, 1, 2))
-        data_cols = ((0,), (0,), (0,))
+    # Column families: one free random column per base block, or eta powers
+    # (defined, as eta's denominator was resampled).
+    if plan.n is None:
+        theta = {b: [field.rand(rng) for _ in range(N)] for b in sorted(set(chain.base))}
+        columns = [[[v] for v in theta[b]] for b in chain.base]
     else:
-        raise ValueError(f"unknown plan kind {plan.kind!r}")
+        theta, n = {}, plan.n
+        columns = [[[field.pow(eta, c) for c in cs] for eta in eta_vals]
+                   for cs in (range(n + 1), range(n), range(1, n + 1))]
+    V = []
+    for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
+        if den:  # kept nonzero by resampling
+            gains = [pair_ratio(field, m, num, den) for m in slots]
+            rows = [[field.mul(g, v) for v in row] for g, row in zip(gains, rows)]
+        V.append(Matrix(field, rows))
+    data_cols = (((0, 2), (0, 1), (0, 1)) if plan.kind == "TypeTwoFive"
+                 else tuple(tuple(range(k)) for k in plan.k))
 
-    return EvaluatedScheme(plan=plan, sc=sc, field=field, assignments=assignments,
-                           m_vals=m_vals, theta=theta, V=(v1, v2, v3),
-                           data_cols=data_cols, eta_vals=eta_vals,
-                           structure=structure, resamples=resamples)
+    return EvaluatedScheme(plan=plan, assignments=assignments, m_vals=m_vals,
+                           theta=theta, V=tuple(V), data_cols=data_cols,
+                           eta_vals=eta_vals, structure=chain, resamples=resamples)
 
 
 def _receiver(es: EvaluatedScheme, i: int) -> Tuple[Matrix, List[Matrix]]:
@@ -247,16 +236,14 @@ def _receiver(es: EvaluatedScheme, i: int) -> Tuple[Matrix, List[Matrix]]:
 def check_alignment(es: EvaluatedScheme) -> bool:
     """Do the interfering signals collapse as the plan promises?
 
-    On reduced networks only the dimension count is meaningful: combined
-    interference at receiver i must fit in the N - k_i leftover dimensions.
+    Where the chain drops a constraint (reduced networks, TrivialThird) only
+    the dimension count is meaningful: combined interference at receiver i
+    must fit in the N - k_i leftover dimensions.
     Otherwise the narrower of receiver i's two interference blocks must lie
     in the span of the wider one, in both directions when they are equally
-    wide.  TrivialThird packs k1+k2+k3 = N symbols, so there is nothing to
-    collapse.
+    wide.
     """
     plan = es.plan
-    if plan.kind == "TrivialThird":
-        return True
     for i in (1, 2, 3):
         _, blocks = _receiver(es, i)
         joint = Matrix.hstack(blocks).rank()

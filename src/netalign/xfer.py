@@ -56,7 +56,7 @@ class CodingAssignment:
 
     @classmethod
     def random(cls, sc: Scenario, field: Field, rng) -> "CodingAssignment":
-        return cls({pair: field.rand(rng) for pair in sc.adjacent_pairs()})
+        return cls({pair: field.rand(rng) for pair in sc.pairs})
 
     def __getitem__(self, pair: Var) -> int:
         return self.coeffs[pair]
@@ -78,7 +78,7 @@ def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
     lo = min(sc.topo_pos[eid] for eid in sources)
     for eid in sc.topo_order[lo:]:
         acc = inject(eid, 0)
-        for prev in sc.prev_edges(eid):
+        for prev in sc.pred[eid]:
             v = values.get(prev)
             if v:
                 acc ^= mul(coeffs[(prev, eid)], v)
@@ -107,7 +107,7 @@ def path_count(sc: Scenario, src: int, dst: int) -> int:
         return 0
     for eid in sc.topo_order[lo + 1:hi + 1]:
         total = 0
-        for prev in sc.prev_edges(eid):
+        for prev in sc.pred[eid]:
             total += counts.get(prev, 0)
         if total:
             counts[eid] = total
@@ -220,7 +220,7 @@ def oracle_transfer_poly(sc: Scenario, src: int, dst: int,
         if eid == dst:
             monos.append(tuple(sorted((v, 1) for v in vars_so_far)))
             continue
-        for nxt in sc.next_edges(eid):
+        for nxt in sc.succ[eid]:
             if nxt in useful:
                 stack.append((nxt, vars_so_far + ((eid, nxt),)))
     return SparsePoly(monos)

@@ -141,7 +141,7 @@ def test_topological_order_is_canonical():
         assert sc.topo_order == _greedy_topo(sc)
         assert sc.topo_pos == {eid: i for i, eid in enumerate(sc.topo_order)}
         for eid in sc.topo_order:
-            for prev in sc.prev_edges(eid):
+            for prev in sc.pred[eid]:
                 assert sc.topo_pos[prev] < sc.topo_pos[eid]
 
 
@@ -210,11 +210,12 @@ def test_adjacency_accessors():
         adj = edge_adjacency(sc)
         back = edge_adjacency_back(sc)
         for e in sc.edges:
-            assert sorted(sc.next_edges(e.id)) == adj[e.id]
-            assert sorted(sc.prev_edges(e.id)) == back[e.id]
+            assert sorted(sc.succ[e.id]) == adj[e.id]
+            assert sorted(sc.pred[e.id]) == back[e.id]
         expected_pairs = {(a.id, b.id) for a in sc.edges for b in sc.edges
                           if a.head == b.tail}
-        assert set(sc.adjacent_pairs()) == expected_pairs
+        assert set(sc.pairs) == expected_pairs
+        assert sc.pairs is sc.pairs  # built once per scenario
 
 
 def test_repr_smoke():

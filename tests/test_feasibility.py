@@ -18,7 +18,6 @@ from netalign import load_corpus
 import netalign.feasibility as feasibility
 from netalign.feasibility import (
     RATE_BY_KIND,
-    check_eta_one,
     classify,
     connectivity_map,
     cross_check_verdicts,
@@ -155,24 +154,28 @@ def test_kind_follows_flags():
 # -- reduced structure ------------------------------------------------------------
 
 
+PAIRS = [(j, i) for j in (1, 2, 3) for i in (1, 2, 3)]
+
+
+def network_chain(name):
+    return reduced_structure(connectivity_map(load_corpus(name)))
+
+
 def test_reduced_structure_m21_dead():
-    rs = reduced_structure(load_corpus("m21_dead"))
+    rs = network_chain("m21_dead")
     assert rs.base == (0, 0, 0)
     assert rs.profile_num == ((), ((1, 3),), ((1, 2),))
     assert rs.profile_den == ((), ((2, 3),), ((3, 2),))
-    assert not rs.chain_conflict
 
 
 def test_reduced_structure_three_disjoint():
-    rs = reduced_structure(load_corpus("three_disjoint"))
+    rs = network_chain("three_disjoint")
     assert rs.base == (0, 1, 2)
     assert rs.profile_num == ((), (), ())
-    assert not rs.chain_conflict
 
 
 def test_receiver_conditions_m21_dead():
-    sc = load_corpus("m21_dead")
-    conds = list(reduced_receiver_conditions(sc, reduced_structure(sc)))
+    conds = list(reduced_receiver_conditions(network_chain("m21_dead")))
     assert conds == [
         (1, "ratio", (((1, 1), (3, 2)), ((3, 1), (1, 2)))),
         (2, "ratio", (((2, 2), (1, 3)), ((1, 2), (2, 3)))),
@@ -181,26 +184,26 @@ def test_receiver_conditions_m21_dead():
 
 
 def test_receiver_conditions_all_free_when_disjoint():
-    sc = load_corpus("three_disjoint")
-    conds = list(reduced_receiver_conditions(sc, reduced_structure(sc)))
+    conds = list(reduced_receiver_conditions(network_chain("three_disjoint")))
     assert conds == [(1, "free", None), (2, "free", None), (3, "free", None)]
 
 
-def test_chain_conflict_on_fully_connected_graphs():
-    # With all three alignment constraints active the sender profiles are
-    # fully pinned; receiver 1 then decodes only if eta is identically 1.
-    rich = load_corpus("rich_type3")
-    rs = reduced_structure(rich)
-    assert rs.chain_conflict and not check_eta_one(rich)
-    conds = dict((i, kind) for i, kind, _ in reduced_receiver_conditions(rich, rs))
-    assert conds[1] == "conflict"
-
-    quiet = load_corpus("eta_one_corridor")
-    rs = reduced_structure(quiet)
-    assert rs.chain_conflict and check_eta_one(quiet)
-    conds = {i: (kind, payload)
-             for i, kind, payload in reduced_receiver_conditions(quiet, rs)}
-    # the surviving requirement at receiver 1 is that 1/p1 is non-constant
+def test_all_constraints_on_a_reduced_map_leave_a_dead_receiver():
+    # Receiver i's constraint needs both of its interferers, so all three
+    # keep every cross pair; a reduced map must then miss some m_ii, and
+    # that dead receiver fixes rate 0 whatever the other receivers need.
+    chained = 0
+    for bits in itertools.product((False, True), repeat=9):
+        present = dict(zip(PAIRS, bits))
+        if all(present[(j, i)] for j, i in PAIRS if j != i) and not all(bits):
+            conds = list(reduced_receiver_conditions(reduced_structure(present)))
+            assert any(kind == "dead" for _, kind, _ in conds), present
+            chained += 1
+    assert chained == 7
+    # With every pair present (the chain of the general scheme), receiver 1
+    # is left needing 1/p1 to be non-constant.
+    conds = {i: (kind, payload) for i, kind, payload
+             in reduced_receiver_conditions(reduced_structure(dict.fromkeys(PAIRS, True)))}
     assert conds[1] == ("ratio", (((1, 1), (2, 3)), ((2, 1), (1, 3))))
 
 
@@ -220,17 +223,12 @@ def test_dead_session_yields_rate_zero():
 
 # -- exact reduced verdicts --------------------------------------------------------
 
-PAIRS = [(j, i) for j in (1, 2, 3) for i in (1, 2, 3)]
-
 
 def test_every_presence_map_cancels_to_a_cross_ratio():
-    # eta is identically 1 here, so a chain conflict at receiver 1 still
-    # yields its ratio and every branch of the generator is reached.
-    sc = load_corpus("eta_one_corridor")
     shapes = Counter()
     for bits in itertools.product((False, True), repeat=9):
         present = dict(zip(PAIRS, bits))
-        for _, kind, payload in reduced_receiver_conditions(sc, reduced_structure(sc, present)):
+        for _, kind, payload in reduced_receiver_conditions(reduced_structure(present)):
             if kind != "ratio":
                 continue
             num, den = payload
@@ -277,9 +275,7 @@ def oracle_reduced_rate(sc):
     present = {pair: not p.is_zero() for pair, p in polys.items()}
     if not all(present[(i, i)] for i in (1, 2, 3)):
         return Fraction(0)
-    for _, kind, payload in reduced_receiver_conditions(sc, reduced_structure(sc, present)):
-        if kind == "conflict":
-            return Fraction(1, 3)
+    for _, kind, payload in reduced_receiver_conditions(reduced_structure(present)):
         if kind == "ratio" and _product(polys, payload[0]) == _product(polys, payload[1]):
             return Fraction(1, 3)
     return Fraction(1, 2)

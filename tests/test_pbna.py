@@ -1,15 +1,19 @@
 """Precoding plans: structure, alignment, rank witnesses and simulation."""
 
+import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from genutils import make_scenario, random_connected_scenario, transfer
+from genutils import make_scenario, random_connected_scenario, random_scenario, transfer
 from netalign import corpus_names, load_corpus
-from netalign.feasibility import NetworkType, classify
+from netalign.feasibility import NetworkType, classify, connectivity_map, reduced_structure
 from netalign.gf2m import field
 from netalign.pbna import (
+    ALIGNED,
+    UNALIGNED,
     PrecodingPlan,
     build_plan,
     check_alignment,
@@ -83,19 +87,45 @@ def test_slot_values_are_transfer_functions():
 
 
 def test_eta_general_precoders_are_eta_powers():
-    es = draw("rich_type3", PrecodingPlan.eta_general(2), seed=9)
-    n, N = 2, 5
-    m = es.m_vals
-    for t in range(N):
-        eta = es.eta_vals[t]
-        assert eta is not None
-        g2 = F16.div(m[(1, 3)][t], m[(2, 3)][t])
-        g3 = F16.div(m[(1, 2)][t], m[(3, 2)][t])
-        for c in range(n + 1):
-            assert es.V[0].rows[t][c] == F16.pow(eta, c)
-        for c in range(n):
-            assert es.V[1].rows[t][c] == F16.mul(g2, F16.pow(eta, c))
-            assert es.V[2].rows[t][c] == F16.mul(g3, F16.pow(eta, c + 1))
+    # V_j is the plan's gain profile times its column family, whatever the
+    # network: the eta-power plans pin V2 and V3 to V1 through receivers 3
+    # and 2 even where the network's own chain differs (m13 is absent from
+    # `no_m13`), and TrivialThird sends its free columns unscaled.
+    no_m13 = make_scenario([(1, "s1", "u"), (2, "s2", "v"), (3, "s3", "v"),
+                            (4, "v", "u"), (5, "u", "r1"), (6, "u", "r2"), (7, "v", "r3")])
+    conn = connectivity_map(no_m13)
+    assert [pair for pair, on in conn.items() if not on] == [(1, 3)]
+    assert reduced_structure(conn) != ALIGNED
+    rng = random.Random(9)
+    scs = [load_corpus(name) for name in corpus_names()] + [no_m13]
+    scs += [random_scenario(rng) for _ in range(30)]
+    plans = (PrecodingPlan.eta_general(1), PrecodingPlan.eta_general(2),
+             PrecodingPlan.type_two_five(), PrecodingPlan.trivial_third())
+    checked = Counter()
+    for sc in scs:
+        for plan in plans:
+            try:
+                es = evaluate_precoding(sc, plan, F16, rng)
+            except ResampleLimitError:
+                continue  # a gain denominator is identically zero
+            checked[plan.kind, sc is no_m13] += 1
+            for t in range(plan.N):
+                m = {pair: vals[t] for pair, vals in es.m_vals.items()}
+                if plan.n is None:
+                    assert [v.rows[t] for v in es.V] == [[es.theta[j][t]] for j in range(3)]
+                    continue
+                num = functools.reduce(F16.mul, [m[(1, 3)], m[(2, 1)], m[(3, 2)]])
+                den = functools.reduce(F16.mul, [m[(1, 2)], m[(2, 3)], m[(3, 1)]])
+                eta = F16.div(num, den)
+                g2 = F16.div(m[(1, 3)], m[(2, 3)])
+                g3 = F16.div(m[(1, 2)], m[(3, 2)])
+                n = plan.n
+                assert es.V[0].rows[t] == [F16.pow(eta, c) for c in range(n + 1)]
+                assert es.V[1].rows[t] == [F16.mul(g2, F16.pow(eta, c)) for c in range(n)]
+                assert es.V[2].rows[t] == [F16.mul(g3, F16.pow(eta, c))
+                                           for c in range(1, n + 1)]
+    for kind in ("EtaGeneral", "TypeTwoFive", "TrivialThird"):
+        assert checked[kind, True] >= 1 and checked[kind, False] >= 10, kind
 
 
 def test_type_two_five_sends_outer_columns():
@@ -110,7 +140,7 @@ def test_type_two_five_sends_outer_columns():
 def test_eta_vals_undefined_on_disjoint_paths():
     es = draw("three_disjoint", PrecodingPlan.trivial_third(), seed=0)
     assert es.eta_vals == [None, None, None]
-    assert es.structure is None and not es.reduced  # only EtaOne needs the chain
+    assert es.structure is UNALIGNED and es.reduced  # TrivialThird aligns nothing
 
 
 # -- propagation -------------------------------------------------------------------

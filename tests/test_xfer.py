@@ -84,7 +84,7 @@ def test_single_path_transfer():
     poly = oracle_transfer_poly(sc, 1, 5)  # sigma_1 to tau_1 through the hub
     assert poly == SparsePoly([_mono(((1, 4), 1), ((4, 5), 1))])
     f = field(8)
-    x = CodingAssignment({pair: 1 for pair in sc.adjacent_pairs()})
+    x = CodingAssignment({pair: 1 for pair in sc.pairs})
     x.coeffs[(1, 4)] = 5
     x.coeffs[(4, 5)] = 6
     assert transfer(sc, x, f, 1, 5) == f.mul(5, 6)
@@ -201,7 +201,7 @@ def test_ratios_on_shared_bottleneck():
     f = field(16)
     rng = random.Random(61)
     for _ in range(20):
-        x = CodingAssignment({p: f.rand_nonzero(rng) for p in sc.adjacent_pairs()})
+        x = CodingAssignment({p: f.rand_nonzero(rng) for p in sc.pairs})
         for spec in RATIOS.values():
             assert evaluate_ratio(sc, x, f, spec) == 1
 
@@ -209,7 +209,7 @@ def test_ratios_on_shared_bottleneck():
 def test_denominator_zero_signal():
     sc = load_corpus("shared_bottleneck")
     f = field(16)
-    x = CodingAssignment({p: 1 for p in sc.adjacent_pairs()})
+    x = CodingAssignment({p: 1 for p in sc.pairs})
     x.coeffs[(1, 4)] = 0  # kills m11 and with it p1's denominator
     assert evaluate_ratio(sc, x, f, RATIOS["p1"]) is None
     assert evaluate_ratio(sc, x, f, RATIOS["p3"]) == 1
