@@ -22,7 +22,6 @@ from .feasibility import (
     NetworkType,
     classify,
     cross_check_verdicts,
-    report_identity_flags,
 )
 from .gf2m import field
 from .pbna import build_plan, simulate
@@ -69,8 +68,7 @@ def _classification_fields(report: CouplingReport, nt: NetworkType) -> Dict:
         "half_feasible": nt.half_feasible,
     }
     # One graph verdict per coupling identity, None off full connectivity.
-    out.update(report_identity_flags(report) if report.fully_connected
-               else dict.fromkeys(COUPLING_IDENTITIES))
+    out.update(report.flags or dict.fromkeys(COUPLING_IDENTITIES))
     return out
 
 
@@ -184,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--field-bits", type=FIELD_BITS, default=32,
                        help="GF(2^m) size, m in 1..32, for --cross-check only (default 32)")
     p_cls.add_argument("--trials", type=POSITIVE, default=20,
-                       help="random points per identity test, for --cross-check only "
-                            "(default 20)")
+                       help="random points shared by all ten identity tests, "
+                            "for --cross-check only (default 20)")
     p_cls.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default ${SEED_ENV} or 0)")
     p_cls.add_argument("--cross-check", action="store_true",

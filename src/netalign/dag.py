@@ -60,7 +60,6 @@ class Scenario:
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise ModelViolationError("duplicate edge ids")
-        self.edge_by_id: Dict[int, Edge] = {e.id: e for e in self.edges}
 
         node_set = set(nodes)
         for e in self.edges:
@@ -126,9 +125,6 @@ class Scenario:
         return order
 
     # -- session accessors -------------------------------------------------
-
-    def session(self, i: int) -> Session:
-        return self.sessions[i - 1]
 
     def sigma(self, i: int) -> int:
         """Sender edge id of session i."""

@@ -29,9 +29,10 @@ pair cut between senders {a, b} and receivers {c, d} is at most 1.  The
 chain of alignment constraints behind those ratios (`reduced_structure`)
 builds every precoding plan of `netalign.pbna`, reduced or not.
 
-Every graph verdict can be cross-checked numerically: each relation has a
-denominator-free polynomial identity that is evaluated at random
-assignments, with the usual degree-over-field-size false-accept bound.
+All ten verdicts live in one map keyed like `COUPLING_IDENTITIES`, and
+each can be cross-checked numerically: every relation has a
+denominator-free polynomial identity, and one random assignment per trial
+evaluates all ten, with the usual degree-over-field-size false-accept bound.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Dict, Optional, Tuple
 
 from .cuts import alpha_beta, alpha_edge, bottleneck_set, cut_by_pair, parallel
 from .dag import Scenario
-from .gf2m import Field, field as shared_field
+from .gf2m import field as shared_field
 from .xfer import (
     COUPLING_IDENTITIES,
     CodingAssignment,
@@ -54,18 +55,17 @@ from .xfer import (
     session_transfer_matrix,
 )
 
-Triple = Tuple[bool, bool, bool]
-
 
 @dataclass
 class CouplingReport:
-    """Graph verdicts for all coupling relations, plus raw connectivity."""
+    """Raw connectivity plus the graph verdict of each coupling relation.
+
+    `flags` is keyed like COUPLING_IDENTITIES, and None when some sender
+    cannot reach some receiver (the relations are then undefined).
+    """
 
     connectivity: Dict[SessionPair, bool]
-    eta_is_one: Optional[bool]
-    p_is_one: Optional[Triple]
-    p_is_eta: Optional[Triple]
-    third_relation: Optional[Triple]
+    flags: Optional[Dict[str, bool]]
 
     @property
     def fully_connected(self) -> bool:
@@ -96,19 +96,16 @@ def check_eta_one(sc: Scenario, cache: dict | None = None) -> bool:
     return ab213.alpha == ab312.alpha and ab213.beta == ab312.beta
 
 
-def check_pi_relations(sc: Scenario, cache: dict | None = None) -> Tuple[Triple, Triple]:
-    """Pair-cut tests for p_i = 1 and p_i = eta, i = 1..3."""
-    p_is_one = (
-        cut_by_pair(sc, (1, 2), (1, 3), cache) == 1,
-        cut_by_pair(sc, (1, 2), (2, 3), cache) == 1,
-        cut_by_pair(sc, (2, 3), (1, 3), cache) == 1,
-    )
-    p_is_eta = (
-        cut_by_pair(sc, (1, 3), (1, 2), cache) == 1,
-        cut_by_pair(sc, (2, 3), (1, 2), cache) == 1,
-        cut_by_pair(sc, (1, 3), (2, 3), cache) == 1,
-    )
-    return p_is_one, p_is_eta
+# Relation -> (senders, receivers) of the two-pair cut that is a single
+# edge exactly when the relation holds.
+PAIR_CUT_RELATIONS: Dict[str, Tuple[SessionPair, SessionPair]] = {
+    "p1_is_one": ((1, 2), (1, 3)),
+    "p2_is_one": ((1, 2), (2, 3)),
+    "p3_is_one": ((2, 3), (1, 3)),
+    "p1_is_eta": ((1, 3), (1, 2)),
+    "p2_is_eta": ((2, 3), (1, 2)),
+    "p3_is_eta": ((1, 3), (2, 3)),
+}
 
 
 def check_third_relation(sc: Scenario, i: int, cache: dict | None = None) -> bool:
@@ -146,21 +143,22 @@ def classify(sc: Scenario) -> Tuple[CouplingReport, NetworkType]:
     conn = connectivity_map(sc)
     cache: dict = {}
     if not all(conn.values()):
-        report = CouplingReport(conn, None, None, None, None)
-        return report, _classify_reduced(sc, conn, cache)
+        return CouplingReport(conn, None), _classify_reduced(sc, conn, cache)
 
-    eta_one = check_eta_one(sc, cache)
-    p_is_one, p_is_eta = check_pi_relations(sc, cache)
-    third = tuple(check_third_relation(sc, i, cache) for i in (1, 2, 3))
-    report = CouplingReport(conn, eta_one, p_is_one, p_is_eta, third)
+    flags = {"eta_is_one": check_eta_one(sc, cache)}
+    for name, (senders, receivers) in PAIR_CUT_RELATIONS.items():
+        flags[name] = cut_by_pair(sc, senders, receivers, cache) == 1
+    for i in (1, 2, 3):
+        flags[f"third_relation_{i}"] = check_third_relation(sc, i, cache)
 
-    if any(p_is_one) or any(p_is_eta):
+    if any(flags[name] for name in PAIR_CUT_RELATIONS):
         kind = "I"
-    elif any(third):
+    elif any(flags[f"third_relation_{i}"] for i in (1, 2, 3)):
         kind = "II"
     else:
         kind = "III"
-    return report, NetworkType(kind, RATE_BY_KIND[kind], eta_is_one=eta_one)
+    nt = NetworkType(kind, RATE_BY_KIND[kind], eta_is_one=flags["eta_is_one"])
+    return CouplingReport(conn, flags), nt
 
 
 # -- randomized identity testing --------------------------------------------
@@ -175,51 +173,51 @@ class IdentityVerdict:
     false_accept_bound: float
 
 
-def randomized_identity_check(sc: Scenario, name: str, field: Field,
-                              trials: int, rng: random.Random) -> IdentityVerdict:
-    """Evaluate a cleared coupling identity at random assignments.
+def cross_check_verdicts(sc: Scenario, *, field_bits: int = 32, trials: int = 20,
+                         seed: int = 0) -> Dict[str, IdentityVerdict]:
+    """Randomized verdicts for all ten coupling relations.
 
-    The reported false-accept bound trials * d / 2^m is the chance budget
-    for a non-identity passing all trials (union bound over single-trial
-    Schwartz-Zippel misses; each factor is already conservative).  With
-    no trials there is no evidence either way, so trials < 1 is refused.
+    Each trial draws one coding assignment, and its nine m_ji evaluate every
+    identity not yet refuted; a refuted identity stops counting trials, and
+    the loop ends once all ten are refuted.  The draws any one identity sees
+    are independent and uniform, so each keeps its own guarantee: a false
+    identity passes all its trials with probability at most trials * d / 2^m
+    (a union bound over single-trial Schwartz-Zippel misses; each factor is
+    already conservative).  The bound is per identity: the chance that some
+    of several false identities all pass is up to the sum of theirs.  A true
+    identity always passes, since each evaluation is exact.  With no trials
+    there is no evidence either way, so trials < 1 is refused.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    d = identity_degree_bound(sc, name)
-    all_equal = True
-    used = 0
-    for _ in range(trials):
-        x = CodingAssignment.random(sc, field, rng)
-        m = session_transfer_matrix(sc, x, field)
-        lhs, rhs = evaluate_identity_sides(name, m, field)
-        used += 1
-        if lhs != rhs:
-            all_equal = False
-            break
-    bound = min(1.0, trials * d / field.order)
-    return IdentityVerdict(name, all_equal, used, d, bound)
-
-
-def cross_check_verdicts(sc: Scenario, *, field_bits: int = 32, trials: int = 20,
-                         seed: int = 0) -> Dict[str, IdentityVerdict]:
-    """Randomized verdicts for all ten coupling relations."""
     f = shared_field(field_bits)
     rng = random.Random(seed)
-    return {name: randomized_identity_check(sc, name, f, trials, rng)
-            for name in COUPLING_IDENTITIES}
+    used = dict.fromkeys(COUPLING_IDENTITIES, 0)
+    live = list(COUPLING_IDENTITIES)
+    for _ in range(trials):
+        m = session_transfer_matrix(sc, CodingAssignment.random(sc, f, rng), f)
+        held = []
+        for name in live:
+            used[name] += 1
+            lhs, rhs = evaluate_identity_sides(name, m, f)
+            if lhs == rhs:
+                held.append(name)
+        live = held
+        if not live:
+            break
+    verdicts = {}
+    for name, n in used.items():
+        d = identity_degree_bound(sc, name)
+        verdicts[name] = IdentityVerdict(name, name in live, n, d,
+                                         min(1.0, trials * d / f.order))
+    return verdicts
 
 
 def report_identity_flags(report: CouplingReport) -> Dict[str, bool]:
     """The graph verdicts keyed like COUPLING_IDENTITIES (full connectivity only)."""
-    if not report.fully_connected:
+    if report.flags is None:
         raise ValueError("graph verdicts are only defined under full connectivity")
-    flags = {"eta_is_one": report.eta_is_one}
-    for i in (1, 2, 3):
-        flags[f"p{i}_is_one"] = report.p_is_one[i - 1]
-        flags[f"p{i}_is_eta"] = report.p_is_eta[i - 1]
-        flags[f"third_relation_{i}"] = report.third_relation[i - 1]
-    return flags
+    return report.flags
 
 
 # -- reduced connectivity ----------------------------------------------------

@@ -128,9 +128,6 @@ class Field:
             e >>= 1
         return r
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -159,9 +156,6 @@ class Field:
     def rand(self, rng) -> int:
         """Uniform random element (zero included)."""
         return rng.randrange(self.order)
-
-    def rand_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.order)
 
     def __repr__(self):
         return f"Field(2^{self.m}, poly=0x{self.poly:X})"
@@ -192,9 +186,6 @@ class Matrix:
                 row.extend(b.rows[i])
             rows.append(row)
         return cls(field, rows)
-
-    def col(self, j: int) -> List[int]:
-        return [r[j] for r in self.rows]
 
     def select_cols(self, cols: Sequence[int]) -> "Matrix":
         return Matrix(self.field, [[r[j] for j in cols] for r in self.rows])

@@ -254,9 +254,15 @@ RATIOS: Dict[str, RatioSpec] = {
 
 def pair_product(field: Field, m: Dict[SessionPair, int],
                  pairs: Sequence[SessionPair]) -> int:
-    """Product of the transfer values m_ji over a list of (j, i) pairs."""
-    acc = 1
-    for pair in pairs:
+    """Product of the transfer values m_ji over a list of (j, i) pairs.
+
+    Starts from the first factor, so k pairs cost k - 1 multiplications
+    (none for one pair); the empty product is 1.
+    """
+    if not pairs:
+        return 1
+    acc = m[pairs[0]]
+    for pair in pairs[1:]:
         acc = field.mul(acc, m[pair])
     return acc
 

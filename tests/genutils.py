@@ -13,7 +13,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from netalign.dag import Edge, Scenario
+from netalign.dag import Edge, Scenario, serialize_scenario
 from netalign.xfer import pair_ratio, session_transfer_matrix, transfer_values
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
@@ -109,10 +109,41 @@ def scenarios(draw, max_internals=4, max_links=8):
     return make_scenario([(eid, t, h) for eid, (t, h) in zip(ids, pairs)])
 
 
+SCENARIO_WORDS = ("node", "edge", "session", "#", "s1", "s2", "s3",
+                  "r1", "r2", "r3", "n0", "n1", "0", "1", "3", "-1", "1.5", "x")
+
+
+@st.composite
+def scenario_texts(draw, valid=True):
+    """Hypothesis strategy: the text of a drawn scenario, freely laid out.
+
+    Its canonical lines come in any order, with blank lines, comments,
+    `node` lines for its own nodes and extra blanks spliced in.  With
+    valid=False, lines of random words (directives, node names, odd
+    numbers, arbitrary text) may also be inserted and lines dropped, so
+    the text may be malformed or break the model.
+    """
+    sc = draw(scenarios())
+    lines = list(draw(st.permutations(serialize_scenario(sc).splitlines())))
+    filler = st.one_of(st.just(""), st.just("  # comment"),
+                       st.sampled_from(sc.nodes).map("node {}".format))
+    if not valid:
+        word = st.one_of(st.sampled_from(SCENARIO_WORDS), st.text(max_size=4))
+        filler = st.one_of(filler, st.lists(word, max_size=5).map(" ".join))
+        for _ in range(draw(st.integers(0, 2))):
+            if lines:
+                del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(filler))
+    pad = st.sampled_from(("", " ", "\t"))
+    return "\n".join(draw(pad) + line.replace(" ", draw(pad) + " ") + draw(pad)
+                     for line in lines)
+
+
 def permute_sessions(sc, perm):
     """New scenario whose session i is the old session perm[i-1]."""
-    sessions = [(i, sc.session(perm[i - 1]).sender, sc.session(perm[i - 1]).receiver)
-                for i in (1, 2, 3)]
+    old = [sc.sessions[p - 1] for p in perm]
+    sessions = [(i, s.sender, s.receiver) for i, s in zip((1, 2, 3), old)]
     return Scenario(sc.nodes, sc.edges, sessions)
 
 
@@ -140,6 +171,19 @@ def layered_dag(rng, width=10, gaps=480, extra=394):
     for i in (1, 2, 3):
         add(f"L{gaps}_{i - 1}", f"r{i}")
     return make_scenario(triples)
+
+
+# -- small readers that only the tests need ----------------------------------
+
+
+def rand_nonzero(field, rng):
+    """Uniform random non-zero element of `field`."""
+    return rng.randrange(1, field.order)
+
+
+def column(matrix, j):
+    """Column j of a Matrix, as a list."""
+    return [row[j] for row in matrix.rows]
 
 
 # -- single values read off the library sweep ---------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutils import (
     brute_reach,
@@ -13,10 +15,12 @@ from genutils import (
     make_scenario,
     random_connected_scenario,
     random_scenario,
+    scenario_texts,
 )
 from netalign.dag import (
     Edge,
     ModelViolationError,
+    Scenario,
     ScenarioParseError,
     load_scenario,
     parse_scenario,
@@ -47,8 +51,8 @@ def test_parse_basic():
     assert len(sc.nodes) == 9
     assert [sc.sigma(i) for i in (1, 2, 3)] == [0, 1, 2]
     assert [sc.tau(i) for i in (1, 2, 3)] == [3, 4, 5]
-    assert sc.edge_by_id[10].tail == "u" and sc.edge_by_id[10].head == "v"
-    s2 = sc.session(2)
+    assert Edge(10, "u", "v") in sc.edges
+    s2 = sc.sessions[1]
     assert (s2.index, s2.sender, s2.receiver) == (2, "s2", "r2")
 
 
@@ -155,6 +159,28 @@ def test_serialize_round_trip():
         assert again.topo_order == sc.topo_order
         assert [again.sigma(i) for i in (1, 2, 3)] == [sc.sigma(i) for i in (1, 2, 3)]
         assert [again.tau(i) for i in (1, 2, 3)] == [sc.tau(i) for i in (1, 2, 3)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.text(), scenario_texts(valid=False)))
+def test_parse_fails_only_with_input_errors(text):
+    try:
+        sc = parse_scenario(text)
+    except (ScenarioParseError, ModelViolationError):
+        return
+    assert isinstance(sc, Scenario)
+    once = serialize_scenario(sc)
+    assert serialize_scenario(parse_scenario(once)) == once
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenario_texts())
+def test_serialize_parse_is_a_fixed_point(text):
+    sc = parse_scenario(text)
+    once = serialize_scenario(sc)
+    again = parse_scenario(once)
+    assert serialize_scenario(again) == once
+    assert again.edges == sc.edges and again.sessions == sc.sessions
 
 
 def test_serialization_ignores_declaration_order():

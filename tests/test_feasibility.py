@@ -22,13 +22,11 @@ from netalign.feasibility import (
     connectivity_map,
     cross_check_verdicts,
     cross_ratio,
-    randomized_identity_check,
     reduced_receiver_conditions,
     reduced_structure,
     report_identity_flags,
 )
-from netalign.gf2m import field
-from netalign.xfer import SparsePoly, oracle_session_polys
+from netalign.xfer import COUPLING_IDENTITIES, SparsePoly, oracle_session_polys
 
 
 def graph_flags(sc):
@@ -57,7 +55,7 @@ def test_connectivity_map_matches_brute():
 def test_report_flags_require_full_connectivity():
     report, _ = classify(load_corpus("three_disjoint"))
     assert not report.fully_connected
-    assert report.eta_is_one is None and report.third_relation is None
+    assert report.flags is None
     with pytest.raises(ValueError):
         report_identity_flags(report)
 
@@ -138,8 +136,10 @@ def test_kind_follows_flags():
     for _ in range(40):
         sc = random_connected_scenario(rng)
         report, nt = classify(sc)
-        p_any = any(report.p_is_one) or any(report.p_is_eta)
-        third_any = any(report.third_relation)
+        flags = report.flags
+        assert list(flags) == list(COUPLING_IDENTITIES)
+        p_any = any(flags[f"p{i}_is_{r}"] for i in (1, 2, 3) for r in ("one", "eta"))
+        third_any = any(flags[f"third_relation_{i}"] for i in (1, 2, 3))
         if p_any:
             assert nt.kind == "I"
         elif third_any:
@@ -147,7 +147,7 @@ def test_kind_follows_flags():
         else:
             assert nt.kind == "III"
         assert nt.optimal_rate == RATE_BY_KIND[nt.kind]
-        assert nt.eta_is_one == report.eta_is_one
+        assert nt.eta_is_one == flags["eta_is_one"]
         assert nt.half_feasible is None
 
 
@@ -316,6 +316,25 @@ def test_identity_checks_refuse_zero_trials():
     sc = load_corpus("rich_type3")
     for trials in (0, -5):
         with pytest.raises(ValueError):
-            randomized_identity_check(sc, "eta_is_one", field(32), trials, random.Random(0))
-        with pytest.raises(ValueError):
             cross_check_verdicts(sc, trials=trials)
+
+
+def test_one_draw_serves_every_identity(monkeypatch):
+    draws = []
+    real = feasibility.CodingAssignment.random
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(feasibility.CodingAssignment, "random", counted)
+    # name -> draws; every holding identity sees all 20, and rich_type3's
+    # ten false identities are all refuted by the first draw.
+    for name, expect in (("eta_one_corridor", 20), ("rich_type3", 1),
+                         ("shared_bottleneck", 20)):
+        draws.clear()
+        verdicts = cross_check_verdicts(load_corpus(name), trials=20, seed=0)
+        assert len(draws) == expect, name
+        for v in verdicts.values():
+            assert v.trials == (20 if v.all_equal else 1), (name, v.name)
+        assert {n for n, v in verdicts.items() if v.all_equal} == CORPUS_EXPECT[name][2]

@@ -10,12 +10,13 @@ from genutils import (
     evaluate_ratio,
     make_scenario,
     random_connected_scenario,
+    rand_nonzero,
     random_scenario,
     scenarios,
     transfer,
 )
 from netalign import load_corpus
-from netalign.gf2m import field
+from netalign.gf2m import Field, field
 from netalign.xfer import (
     COUPLING_IDENTITIES,
     RATIOS,
@@ -26,6 +27,7 @@ from netalign.xfer import (
     identity_degree_bound,
     oracle_session_polys,
     oracle_transfer_poly,
+    pair_product,
     path_count,
     session_transfer_matrix,
     square_term_coefficients,
@@ -201,7 +203,7 @@ def test_ratios_on_shared_bottleneck():
     f = field(16)
     rng = random.Random(61)
     for _ in range(20):
-        x = CodingAssignment({p: f.rand_nonzero(rng) for p in sc.pairs})
+        x = CodingAssignment({p: rand_nonzero(f, rng) for p in sc.pairs})
         for spec in RATIOS.values():
             assert evaluate_ratio(sc, x, f, spec) == 1
 
@@ -213,6 +215,30 @@ def test_denominator_zero_signal():
     x.coeffs[(1, 4)] = 0  # kills m11 and with it p1's denominator
     assert evaluate_ratio(sc, x, f, RATIOS["p1"]) is None
     assert evaluate_ratio(sc, x, f, RATIOS["p3"]) == 1
+
+
+def test_pair_product_multiplies_only_between_factors(monkeypatch):
+    f = field(16)
+    real_mul = Field.mul
+    calls = []
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    rng = random.Random(71)
+    m = {(j, i): f.rand(rng) for j in (1, 2, 3) for i in (1, 2, 3)}
+    m[(2, 2)] = 0
+    for k in range(5):
+        for _ in range(10):
+            pairs = tuple(rng.choice(list(m)) for _ in range(k))
+            want = 1
+            for pair in pairs:
+                want = real_mul(f, want, m[pair])
+            calls.clear()
+            assert pair_product(f, m, pairs) == want
+            assert len(calls) == max(k - 1, 0), pairs
 
 
 def test_pointwise_ratio_identities():
