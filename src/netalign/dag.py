@@ -229,8 +229,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(sc: Scenario) -> str:
-    """Canonical text form: edges sorted by id, then sessions by index."""
+    """Canonical text form: edges by id, nodes no edge touches, sessions by index."""
     lines = [f"edge {e.id} {e.tail} {e.head}" for e in sc.edges]
+    lines += [f"node {v}" for v in sc.nodes if not sc.in_edges[v] and not sc.out_edges[v]]
     lines += [f"session {s.index} {s.sender} {s.receiver}" for s in sc.sessions]
     return "\n".join(lines) + "\n"
 

@@ -8,8 +8,10 @@ the test suite), so results are reproducible across runs and machines and
 the residue class of x generates the multiplicative group.
 
 For m <= 16 the field precomputes exp/log tables over the generator x,
-making a multiplication two lookups; larger fields fall back to
-shift-and-xor.
+making a multiplication two lookups.  Larger fields lift elements (bit k
+to bit 8k of an int): one integer multiply then leaves the carry-less product
+in bit 0 of each byte, XOR still adds, and `Field.kernel` lets sums of many
+products be reduced once (settled) and gathered back (lowered).
 Inversion is exponentiation by 2^m - 2 (square-and-multiply), which is total
 on nonzero inputs and needs no extended-gcd bookkeeping.
 
@@ -20,6 +22,7 @@ decoding code needs.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Sequence, Tuple
 
 
@@ -72,9 +75,34 @@ IRREDUCIBLE_POLY = {
 
 _TABLE_LIMIT = 16  # largest m for which exp/log tables are built
 
+# Byte b with bit k moved to bit 8k.
+_SPREAD = [int.from_bytes(bytes((b >> k) & 1 for k in range(8)), "little") for b in range(256)]
+
+
+def _lifted_kernel(m: int, poly: int):
+    """(lift, product, settle, lower) of GF(2^m) in lifted form, m in 17..32."""
+    ones, shift = int.from_bytes(b"\x01" * 2 * m, "little"), 8 * m
+
+    def lift(a, s=_SPREAD):
+        return s[a & 255] | s[a >> 8 & 255] << 64 | s[a >> 16 & 255] << 128 | s[a >> 24] << 192
+
+    folded = lift(poly ^ (1 << m))  # x^m modulo poly
+
+    def settle(v):
+        """Parity bits of a XOR of lifted products, reduced below degree m."""
+        v &= ones
+        while high := v >> shift:  # at most twice for every built-in polynomial
+            v ^= high << shift ^ (high * folded & ones)
+        return v
+
+    def lower(v):  # each byte's hex digits are "00" or "01"
+        return int(v.to_bytes(m, "big").hex()[1::2], 2)
+
+    return lift, operator.mul, settle, lower
+
 
 class Field:
-    """GF(2^m), 1 <= m <= 32, reduced by the built-in primitive polynomial."""
+    """GF(2^m), 1 <= m <= 32: tables for m <= 16, the lifted form above."""
 
     def __init__(self, m: int):
         if not 1 <= m <= 32:
@@ -82,9 +110,9 @@ class Field:
         self.m = m
         self.poly = IRREDUCIBLE_POLY[m]
         self.order = 1 << m
-        self._exp: List[int] | None = None
-        self._log: List[int] | None = None
-        if m <= _TABLE_LIMIT:
+        self._exp = self._log = None
+        self._lifted = None if m <= _TABLE_LIMIT else _lifted_kernel(m, self.poly)
+        if self._lifted is None:
             self._build_tables()
 
     def _build_tables(self) -> None:
@@ -106,34 +134,18 @@ class Field:
             exp[i] = exp[i - n]
         self._exp, self._log = exp, log
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        r = 0
-        p, mask, top = self.poly, self.order - 1, self.order >> 1
-        while b:
-            if b & 1:
-                r ^= a
-            carry = a & top
-            a = (a << 1) & mask
-            if carry:
-                a ^= p & mask
-            b >>= 1
-        return r
-
-    def _pow_slow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
+    @property
+    def kernel(self):
+        """(lift, product, settle, lower) for sums of products; m <= 16: (None, mul, None, None)."""
+        return self._lifted or (None, self.mul, None, None)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_slow(a, b)
+        lift, _, settle, lower = self._lifted
+        return lower(settle(lift(a) * lift(b)))
 
     def pow(self, a: int, e: int) -> int:
         if e == 0:
@@ -142,7 +154,14 @@ class Field:
             return 0
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_slow(a, e)
+        lift, _, settle, lower = self._lifted
+        r, a, e = 1, lift(a), e % (self.order - 1)  # a^(2^m - 1) = 1, as in the tables
+        while e:
+            if e & 1:
+                r = settle(r * a)
+            a = settle(a * a)
+            e >>= 1
+        return lower(r)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse, computed as a^(2^m - 2)."""

@@ -28,7 +28,7 @@ the same table drives the exact oracle and the randomized point tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dag import Scenario
@@ -53,6 +53,7 @@ class CodingAssignment:
     """One value per adjacent edge pair (a local coding kernel)."""
 
     coeffs: Dict[Var, int]
+    _lifted: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def random(cls, sc: Scenario, field: Field, rng) -> "CodingAssignment":
@@ -60,6 +61,32 @@ class CodingAssignment:
 
     def __getitem__(self, pair: Var) -> int:
         return self.coeffs[pair]
+
+    def lifted(self, lift) -> Dict[Var, int]:
+        """The coefficients lifted by `lift`, once: edit no coefficient after."""
+        if self._lifted is None or self._lifted[0] is not lift:
+            self._lifted = (lift, {pair: lift(c) for pair, c in self.coeffs.items()})
+        return self._lifted[1]
+
+
+def _sweep(sc: Scenario, x: CodingAssignment, kernel, sources: Dict[int, int]) -> Dict[int, int]:
+    """The recurrence of `transfer_values`, leaving values in the form of `Field.kernel`."""
+    lift, product, settle, _ = kernel
+    coeffs = x.lifted(lift) if lift else x.coeffs
+    inject = ({eid: lift(v) for eid, v in sources.items()} if lift else sources).get
+    values: Dict[int, int] = {}
+    lo = min(sc.topo_pos[eid] for eid in sources)
+    for eid in sc.topo_order[lo:]:
+        acc = inject(eid, 0)
+        for prev in sc.pred[eid]:
+            v = values.get(prev)
+            if v:
+                acc ^= product(coeffs[(prev, eid)], v)
+        if acc and lift:
+            acc = settle(acc)
+        if acc:
+            values[eid] = acc
+    return values
 
 
 def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
@@ -69,32 +96,25 @@ def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
     Single pass in topological order from the earliest source: every edge
     carries its injected value (zero for most) plus sum x_{e'e} value(e')
     over the edges e' into its tail.  With sources {src: 1} the values are
-    the gains m(src, e).  Edges whose value is zero are omitted.
+    the gains m(src, e).  Edges whose value is zero are omitted.  Above
+    2^16 it XORs lifted products and settles once per edge (see `gf2m`).
     """
-    values: Dict[int, int] = {}
-    inject = sources.get
-    coeffs = x.coeffs
-    mul = field.mul
-    lo = min(sc.topo_pos[eid] for eid in sources)
-    for eid in sc.topo_order[lo:]:
-        acc = inject(eid, 0)
-        for prev in sc.pred[eid]:
-            v = values.get(prev)
-            if v:
-                acc ^= mul(coeffs[(prev, eid)], v)
-        if acc:
-            values[eid] = acc
-    return values
+    kernel = field.kernel
+    lower = kernel[3]
+    values = _sweep(sc, x, kernel, sources)
+    return values if lower is None else {eid: lower(v) for eid, v in values.items()}
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
     """All nine m_ji values at one assignment (three passes, one per sender)."""
+    kernel = field.kernel
+    lower = kernel[3]
     out: Dict[Tuple[int, int], int] = {}
     for j in (1, 2, 3):
-        gains = transfer_values(sc, x, field, {sc.sigma(j): 1})
+        gains = _sweep(sc, x, kernel, {sc.sigma(j): 1})
         for i in (1, 2, 3):
             out[(j, i)] = gains.get(sc.tau(i), 0)
-    return out
+    return out if lower is None else {ji: lower(v) for ji, v in out.items()}
 
 
 def path_count(sc: Scenario, src: int, dst: int) -> int:

@@ -1,14 +1,17 @@
 """CLI behavior: JSON reports, seeds, exit codes, subprocess entry."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netalign
 import netalign.cli as cli
 from genutils import make_scenario
-from netalign import load_corpus
+from netalign import build_plan, classify, corpus_names, load_corpus
 from netalign.cli import SEED_ENV, main
 from netalign.dag import serialize_scenario
 from netalign.xfer import COUPLING_IDENTITIES, ResampleLimitError
@@ -98,6 +101,19 @@ def test_simulate_eta_general_n(tmp_path, capsys):
                            "symbols": [3, 2, 2]}
     assert doc["successes"] == 10
     assert doc["rates"] == ["3/5", "2/5", "2/5"]
+
+
+@pytest.mark.parametrize("name, bits", [(name, 32) for name in corpus_names()]
+                         + [("rich_type3", 24)])
+def test_simulate_wide_fields(tmp_path, capsys, name, bits):
+    # fields above 2^16 sweep in lifted form and eliminate with its mul/inv
+    _, verdict = classify(load_corpus(name))
+    plan = build_plan(verdict)
+    path = corpus_file(tmp_path, name)
+    doc = run_json(capsys, ["simulate", path, "--field-bits", str(bits), "--trials", "30"])
+    assert doc["field_bits"] == bits and doc["trials"] == 30
+    assert (doc["plan"]["kind"], doc["plan"]["slots"]) == (plan.kind, plan.N)
+    assert doc["success_probability"] >= 0.99
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -217,8 +233,11 @@ def test_resample_limit_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_module_runs_as_subprocess(tmp_path):
     path = corpus_file(tmp_path, "type_two_gadget")
+    # the child finds the package under test whether or not PYTHONPATH names it
+    src = str(Path(netalign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "netalign.cli", "classify", path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["type"] == "II" and doc["optimal_rate"] == "2/5"

@@ -181,6 +181,12 @@ def test_serialize_parse_is_a_fixed_point(text):
     again = parse_scenario(once)
     assert serialize_scenario(again) == once
     assert again.edges == sc.edges and again.sessions == sc.sessions
+    assert again.nodes == sc.nodes
+
+
+def test_serialization_keeps_isolated_nodes():
+    again = parse_scenario(serialize_scenario(parse_scenario(BASIC)))
+    assert len(again.nodes) == 9 and "lonely" in again.nodes
 
 
 def test_serialization_ignores_declaration_order():

@@ -153,7 +153,7 @@ def test_field_laws_exhaustive_gf16():
 
 
 def test_field_laws_sampled_gf2_32():
-    # m = 32 exercises the shift-and-xor path (no tables)
+    # m = 32 exercises the lifted path (no tables)
     f = field(32)
     rng = random.Random(41)
     for _ in range(100):
@@ -166,15 +166,33 @@ def test_field_laws_sampled_gf2_32():
             assert f.div(f.mul(a, b), a) == b
 
 
-def test_table_path_matches_slow_path():
-    f = Field(8)
-    rng = random.Random(5)
-    for _ in range(300):
-        a, b = f.rand(rng), f.rand(rng)
-        assert f.mul(a, b) == f._mul_slow(a, b)
-    for _ in range(30):
-        a, e = f.rand(rng), rng.randrange(0, 600)
-        assert f.pow(a, e) == f._pow_slow(a, e)
+def _ref_pow(a, e, p):
+    result = 1
+    while e:
+        if e & 1:
+            result = poly_mod(clmul(result, a), p)
+        a = poly_mod(clmul(a, a), p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_mul_pow_inv_match_reference_arithmetic(m):
+    # table fields (m <= 16) and lifted fields (m > 16) against clmul and
+    # poly_mod above, which share no code with either
+    f, p = Field(m), IRREDUCIBLE_POLY[m]
+    rng = random.Random(m)
+    edges = [0, 1, 1 << (m - 1), f.order - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(f.rand(rng), f.rand(rng)) for _ in range(200)]
+    for a, b in pairs:
+        assert f.mul(a, b) == poly_mod(clmul(a, b), p)
+        e = rng.randrange(0, 3 * f.order)
+        assert f.pow(a, e) == _ref_pow(a, e, p)
+        if a:
+            assert f.inv(a) == _ref_pow(a, f.order - 2, p)
+            assert poly_mod(clmul(a, f.inv(a)), p) == 1
+            assert f.pow(a, -e) == f.inv(f.pow(a, e))
 
 
 def test_pow_edge_cases():

@@ -156,7 +156,7 @@ def test_fast_evaluator_matches_oracle():
 @settings(max_examples=80, deadline=None, database=None)
 @given(scenarios(), st.data())
 def test_single_sweep_matches_oracle_and_superposes(sc, data):
-    f = field(data.draw(st.sampled_from([1, 4, 16])))
+    f = field(data.draw(st.sampled_from([1, 4, 16, 17, 32])))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     x = CodingAssignment.random(sc, f, rng)
     ids = [e.id for e in sc.edges]
@@ -239,6 +239,29 @@ def test_pair_product_multiplies_only_between_factors(monkeypatch):
             calls.clear()
             assert pair_product(f, m, pairs) == want
             assert len(calls) == max(k - 1, 0), pairs
+
+
+def test_wide_sweeps_lift_each_coefficient_once_and_call_no_mul(monkeypatch):
+    sc = load_corpus("rich_type3")
+    f = Field(32)
+    x = CodingAssignment.random(sc, f, random.Random(5))
+    polys = oracle_session_polys(sc)
+    want = {pair: poly.evaluate(f, x) for pair, poly in polys.items()}
+    lift, product, settle, lower = f.kernel
+    lifted = []
+
+    def counted(a):
+        lifted.append(a)
+        return lift(a)
+
+    def no_mul(self, a, b):
+        raise AssertionError("a lifted sweep multiplies in lifted form")
+
+    monkeypatch.setattr(f, "_lifted", (counted, product, settle, lower))
+    monkeypatch.setattr(Field, "mul", no_mul)
+    assert session_transfer_matrix(sc, x, f) == want
+    # every coefficient once for all three sweeps, plus each sweep's source
+    assert len(lifted) == len(sc.pairs) + 3
 
 
 def test_pointwise_ratio_identities():
