@@ -1,12 +1,13 @@
 """Single-edge bottlenecks, their meeting points, and two-pair cuts.
 
-A bottleneck between edges e and e' is an edge whose removal disconnects
-every directed path from e to e' (e and e' themselves always qualify when a
-path exists).  The set of bottlenecks is computed with one frontier sweep in
-topological order over the edges that lie on some e-to-e' path: the frontier
-is a running edge cut, and whenever it narrows to a single edge that edge is
-a bottleneck.  With h the maximum in-degree this is O(h |E|) per query, on
-top of the two reach sweeps the scenario memoizes per endpoint.
+A bottleneck between edges src and dst is an edge whose removal disconnects
+every directed path from src to dst (src and dst themselves always qualify
+when a path exists): an edge that dominates dst from src, so the set is
+dst's chain in src's dominator tree (`Scenario.dominators`).  Segment rule:
+when src lies on dst's chain in a tree already built, the set is the chain
+from src on, since every path from that tree's root to dst passes src.
+Alpha dominates both its receivers from its sender, so every query
+`classify` makes reads a sender's tree: one topological pass per sender.
 
 Two derived edges drive the coupling checks for sessions (i, j, k):
 
@@ -62,7 +63,11 @@ class AlphaBeta:
 
 def bottleneck_set(sc: Scenario, src: int, dst: int,
                    cache: dict | None = None) -> BottleneckSet:
-    """All single-edge bottlenecks between src and dst, topologically sorted."""
+    """All single-edge bottlenecks between src and dst, topologically sorted.
+
+    dst's dominator chain from src on, read off the first tree already built
+    in which src lies on that chain, else off src's own tree, built last.
+    """
     if cache is not None:
         hit = cache.get((src, dst))
         if hit is not None:
@@ -70,27 +75,20 @@ def bottleneck_set(sc: Scenario, src: int, dst: int,
         result = bottleneck_set(sc, src, dst)
         cache[(src, dst)] = result
         return result
-    if src == dst:
-        return BottleneckSet(src, dst, [src])
-    forward = sc.reachable_edges(src, forward=True)
-    if dst not in forward:
-        return BottleneckSet(src, dst, [])
-    useful = forward & sc.reachable_edges(dst, forward=False)
-    members = [src]
-    frontier = {src}
-    succ = sc.succ
-    for eid in sorted(useful, key=sc.topo_pos.__getitem__):
-        frontier.discard(eid)
-        for nxt in succ[eid]:
-            if nxt in useful:
-                frontier.add(nxt)
-        if len(frontier) == 1:
-            members.extend(frontier)
-    return BottleneckSet(src, dst, members)
+    pos = sc.topo_pos
+    for idom in [*sc.dominator_trees.values(), None]:
+        idom = idom or sc.dominators(src)
+        if src in idom and dst in idom:
+            chain = [dst]
+            while pos[chain[-1]] > pos[src]:
+                chain.append(idom[chain[-1]])
+            if chain[-1] == src:
+                return BottleneckSet(src, dst, chain[::-1])
+    return BottleneckSet(src, dst, [])
 
 
 def _require_path(sc: Scenario, src: int, dst: int) -> None:
-    if not sc.connects(src, dst):
+    if dst not in sc.dominators(src):
         raise DisconnectedError(f"no path from edge {src} to edge {dst}")
 
 

@@ -56,33 +56,46 @@ class Scenario:
 
     def __init__(self, nodes: Iterable[str], edges: Sequence[Edge],
                  sessions: Sequence[Tuple[int, str, str]]):
-        self.edges = sorted(edges, key=lambda e: e.id)
-        ids = [e.id for e in self.edges]
+        self._build(nodes, [e.id for e in edges], [e.tail for e in edges],
+                    [e.head for e in edges], sessions)
+
+    @classmethod
+    def from_columns(cls, nodes, ids, tails, heads, sessions) -> Scenario:
+        """The scenario whose edge ids[k] runs from tails[k] to heads[k]."""
+        sc = cls.__new__(cls)
+        sc._build(nodes, ids, tails, heads, sessions)
+        return sc
+
+    def _build(self, nodes, ids, tails, heads, sessions) -> None:
         if len(set(ids)) != len(ids):
             raise ModelViolationError("duplicate edge ids")
-
-        node_set = set(nodes)
-        for e in self.edges:
-            node_set.add(e.tail)
-            node_set.add(e.head)
-            if e.tail == e.head:
-                raise ModelViolationError(f"self-loop on edge {e.id}")
-        self.nodes = sorted(node_set)
+        # Columns in id order; `edges` is made from them on first access.
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, tails, heads = self._columns = [[c[k] for k in order] for c in (ids, tails, heads)]
+        self.nodes = sorted({*nodes, *tails, *heads})
 
         self.out_edges: Dict[str, List[int]] = {v: [] for v in self.nodes}
         self.in_edges: Dict[str, List[int]] = {v: [] for v in self.nodes}
-        for e in self.edges:
-            self.out_edges[e.tail].append(e.id)
-            self.in_edges[e.head].append(e.id)
+        for eid, tail, head in zip(ids, tails, heads):
+            if tail == head:
+                raise ModelViolationError(f"self-loop on edge {eid}")
+            self.out_edges[tail].append(eid)
+            self.in_edges[head].append(eid)
         # Edge adjacency by edge id: the edges leaving an edge's head and
         # the edges entering its tail.
-        self.succ: Dict[int, List[int]] = {e.id: self.out_edges[e.head] for e in self.edges}
-        self.pred: Dict[int, List[int]] = {e.id: self.in_edges[e.tail] for e in self.edges}
+        self.succ: Dict[int, List[int]] = dict(zip(ids, map(self.out_edges.__getitem__, heads)))
+        self.pred: Dict[int, List[int]] = dict(zip(ids, map(self.in_edges.__getitem__, tails)))
 
         self.sessions = self._pin_sessions(sessions)
-        self.topo_order = self._edge_topo_order()
-        self.topo_pos = {eid: i for i, eid in enumerate(self.topo_order)}
+        self.topo_order = self._edge_topo_order(dict(zip(ids, heads)))
+        self.topo_pos = dict(zip(self.topo_order, range(len(ids))))
         self._reach: Dict[Tuple[int, bool], FrozenSet[int]] = {}
+        self.dominator_trees: Dict[int, Dict[int, int]] = {}
+
+    @cached_property
+    def edges(self) -> List[Edge]:
+        """Every edge as an `Edge`, in id order."""
+        return list(map(Edge, *self._columns))
 
     def _pin_sessions(self, sessions) -> List[Session]:
         if sorted(s[0] for s in sessions) != [1, 2, 3]:
@@ -105,22 +118,23 @@ class Scenario:
             raise ModelViolationError("sender and receiver edges must be six distinct edges")
         return pinned
 
-    def _edge_topo_order(self) -> List[int]:
-        # Kahn's algorithm at edge granularity: an edge is ready once every
-        # edge into its tail has been emitted.  The heap makes the order
+    def _edge_topo_order(self, head: Dict[int, str]) -> List[int]:
+        # Kahn's algorithm at edge granularity: a node's out-edges are ready
+        # once its last in-edge has been emitted.  The heap makes the order
         # canonical: among ready edges, smallest id first.
-        pending = {e.id: len(self.in_edges[e.tail]) for e in self.edges}
-        ready = [eid for eid, deg in pending.items() if deg == 0]
+        pending = {v: len(ins) for v, ins in self.in_edges.items()}
+        ready = [eid for v, outs in self.out_edges.items() if not pending[v] for eid in outs]
         heapq.heapify(ready)
         order = []
         while ready:
             eid = heapq.heappop(ready)
             order.append(eid)
-            for nxt in self.succ[eid]:
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
+            v = head[eid]
+            pending[v] -= 1
+            if not pending[v]:
+                for nxt in self.out_edges[v]:
                     heapq.heappush(ready, nxt)
-        if len(order) != len(self.edges):
+        if len(order) != len(head):
             raise ModelViolationError("graph has a directed cycle")
         return order
 
@@ -178,38 +192,66 @@ class Scenario:
         """True when a directed path of edges leads from src to dst."""
         return dst in self.reachable_edges(src, forward=True, banned=banned)
 
+    def dominators(self, src: int) -> Dict[int, int]:
+        """Immediate dominator of each edge reachable from `src`; src maps to itself.
+
+        Edge d dominates e when every src-to-e path passes d; e's dominators
+        are its chain idom[e], idom[idom[e]], ... up to src.  One topological
+        pass gives each edge the nearest common dominator of its reachable
+        predecessors, walking their chains up by position (Cooper, Harvey &
+        Kennedy, 2001).  Memoized in `dominator_trees`, keyed by src.
+        """
+        if src in self.dominator_trees:
+            return self.dominator_trees[src]
+        pos, pred = self.topo_pos, self.pred
+        idom = {src: src}
+        for e in self.topo_order[pos[src] + 1:]:
+            d = None
+            for p in pred[e]:
+                if p in idom:
+                    while d is not None and d != p:
+                        if pos[d] > pos[p]:
+                            d = idom[d]
+                        else:
+                            p = idom[p]
+                    d = p
+            if d is not None:
+                idom[e] = d
+        self.dominator_trees[src] = idom
+        return idom
+
     def __repr__(self):
-        return (f"Scenario({len(self.nodes)} nodes, {len(self.edges)} edges, "
+        return (f"Scenario({len(self.nodes)} nodes, {len(self.topo_order)} edges, "
                 f"sessions {[s.index for s in self.sessions]})")
 
 
 def parse_scenario(text: str) -> Scenario:
-    nodes: List[str] = []
-    edges: List[Edge] = []
+    nodes, ids, tails, heads = [], [], [], []
     sessions: List[Tuple[int, str, str]] = []
     seen_ids: Set[int] = set()
     seen_sessions: Set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+        kind = parts[0]
         try:
-            if kind == "node":
-                (name,) = args
-                nodes.append(name)
-            elif kind == "edge":
-                eid_s, tail, head = args
+            if kind == "edge":
+                eid_s, tail, head = parts[1:]
                 eid = int(eid_s)
                 if eid < 0:
                     raise ScenarioParseError(f"line {lineno}: edge id must be >= 0")
                 if eid in seen_ids:
                     raise ScenarioParseError(f"line {lineno}: duplicate edge id {eid}")
                 seen_ids.add(eid)
-                edges.append(Edge(eid, tail, head))
+                ids.append(eid)
+                tails.append(tail)
+                heads.append(head)
+            elif kind == "node":
+                (name,) = parts[1:]
+                nodes.append(name)
             elif kind == "session":
-                idx_s, sender, receiver = args
+                idx_s, sender, receiver = parts[1:]
                 idx = int(idx_s)
                 if idx not in (1, 2, 3):
                     raise ScenarioParseError(f"line {lineno}: session index must be 1..3")
@@ -225,7 +267,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")
-    return Scenario(nodes, edges, sessions)
+    return Scenario.from_columns(nodes, ids, tails, heads, sessions)
 
 
 def serialize_scenario(sc: Scenario) -> str:

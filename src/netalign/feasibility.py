@@ -81,12 +81,12 @@ class NetworkType:
 
 
 def connectivity_map(sc: Scenario) -> Dict[SessionPair, bool]:
-    out = {}
-    for j in (1, 2, 3):
-        reach = sc.reachable_edges(sc.sigma(j))
-        for i in (1, 2, 3):
-            out[(j, i)] = sc.tau(i) in reach
-    return out
+    """(j, i) -> whether tau_i is in sigma_j's dominator tree, i.e. reachable.
+
+    It builds the three sender trees that `classify`'s bottleneck queries read.
+    """
+    return {(j, i): sc.tau(i) in sc.dominators(sc.sigma(j))
+            for j in (1, 2, 3) for i in (1, 2, 3)}
 
 
 def check_eta_one(sc: Scenario, cache: dict | None = None) -> bool:

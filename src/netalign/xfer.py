@@ -326,7 +326,7 @@ def identity_degree_bound(sc: Scenario, name: str) -> int:
     """Total-degree bound for either side of a coupling identity."""
     lhs, rhs = COUPLING_IDENTITIES[name]
     factors = max(len(prod) for prod in lhs + rhs)
-    return factors * len(sc.edges)
+    return factors * len(sc.topo_order)
 
 
 def evaluate_identity_sides(name: str, m: Dict[SessionPair, int], field: Field) -> Tuple[int, int]:

@@ -51,7 +51,12 @@ def test_bottlenecks_match_removal_oracle():
     for _ in range(30):
         sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
         ids = [e.id for e in sc.edges]
-        pairs = [(sc.sigma(j), sc.tau(i)) for j in (1, 2, 3) for i in (1, 2, 3)]
+        taus = [sc.tau(i) for i in (1, 2, 3)]
+        pairs = [(sc.sigma(j), tau) for j in (1, 2, 3) for tau in taus]
+        # Every member of a sender's chain, queried as src, can be read off
+        # the sender's tree by the segment rule.
+        pairs += [(src, tau) for j in (1, 2, 3) for dst in taus
+                  for src in bottleneck_set(sc, sc.sigma(j), dst).members for tau in taus]
         pairs += [(rng.choice(ids), rng.choice(ids)) for _ in range(5)]
         for src, dst in pairs:
             got = bottleneck_set(sc, src, dst).members

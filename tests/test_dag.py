@@ -190,12 +190,21 @@ def test_serialization_keeps_isolated_nodes():
 
 
 def test_serialization_ignores_declaration_order():
-    lines = [ln for ln in BASIC.strip().splitlines() if ln and not ln.startswith("#")]
+    # `pairs` fixes the order of coefficient draws, so equal pairs also
+    # mean an equal random stream.
     rng = random.Random(3)
-    reference = serialize_scenario(parse_scenario(BASIC))
-    for _ in range(5):
+    for sc in [parse_scenario(BASIC)] + [random_scenario(rng) for _ in range(30)]:
+        reference = serialize_scenario(sc)
+        lines = reference.splitlines()
+        for _ in range(rng.randint(1, 6)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# note", "   "]))
         rng.shuffle(lines)
-        assert serialize_scenario(parse_scenario("\n".join(lines))) == reference
+        again = parse_scenario("\n".join(lines))
+        assert serialize_scenario(again) == reference
+        assert again.topo_order == sc.topo_order
+        assert again.succ == sc.succ and again.pred == sc.pred
+        assert again.pairs == sc.pairs
+        assert again.sessions == sc.sessions
 
 
 def test_load_scenario(tmp_path):

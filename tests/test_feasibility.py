@@ -14,7 +14,7 @@ from genutils import (
     random_connected_scenario,
     random_scenario,
 )
-from netalign import load_corpus
+from netalign import corpus_names, load_corpus
 import netalign.feasibility as feasibility
 from netalign.feasibility import (
     RATE_BY_KIND,
@@ -50,6 +50,21 @@ def test_connectivity_map_matches_brute():
         for j in (1, 2, 3):
             for i in (1, 2, 3):
                 assert conn[(j, i)] == brute_connects(sc, sc.sigma(j), sc.tau(i))
+
+
+def test_classify_builds_one_tree_per_sender(monkeypatch):
+    def no_reach(*args, **kwargs):
+        raise AssertionError("connectivity_map ran a reach sweep")
+
+    rng = random.Random(17)
+    scs = [load_corpus(name) for name in corpus_names()]
+    scs += [random_connected_scenario(rng) for _ in range(30)]
+    for sc in scs:
+        with monkeypatch.context() as patched:
+            patched.setattr(sc, "reachable_edges", no_reach)
+            connectivity_map(sc)
+        classify(sc)
+        assert set(sc.dominator_trees) <= {sc.sigma(j) for j in (1, 2, 3)}
 
 
 def test_report_flags_require_full_connectivity():
