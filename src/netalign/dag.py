@@ -156,6 +156,33 @@ class Scenario:
         return tuple((a, b) for v in self.nodes
                      for a in self.in_edges[v] for b in self.out_edges[v])
 
+    @cached_property
+    def pair_index(self) -> Dict[Tuple[int, int], int]:
+        """Position of each pair in `pairs`."""
+        return dict(zip(self.pairs, range(len(self.pairs))))
+
+    @cached_property
+    def session_positions(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Topological positions of the three sender edges and of the three receiver edges."""
+        pos = self.topo_pos
+        return (tuple(pos[s.sender_edge] for s in self.sessions),
+                tuple(pos[s.receiver_edge] for s in self.sessions))
+
+    @cached_property
+    def program(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """For each edge in topological order, (pred position, pair index) per predecessor."""
+        return self._program(self.topo_pos)
+
+    @cached_property
+    def sender_programs(self):
+        """`program` once per sender edge, on the edges it reaches (its dominator tree)."""
+        return tuple(self._program(self.dominators(s.sender_edge)) for s in self.sessions)
+
+    def _program(self, keep):
+        pos, index = self.topo_pos, self.pair_index
+        return tuple(tuple((pos[p], index[p, e]) for p in self.pred[e] if p in keep)
+                     if e in keep else () for e in self.topo_order)
+
     def reachable_edges(self, start: int, forward: bool = True,
                         banned: Iterable[int] = ()) -> FrozenSet[int]:
         """Edges reachable from `start` (inclusive) along edge adjacency.

@@ -7,22 +7,28 @@ lexicographically smallest primitive polynomial of that degree (verified by
 the test suite), so results are reproducible across runs and machines and
 the residue class of x generates the multiplicative group.
 
-For m <= 16 the field precomputes exp/log tables over the generator x,
-making a multiplication two lookups.  Larger fields lift elements (bit k
-to bit 8k of an int): one integer multiply then leaves the carry-less product
-in bit 0 of each byte, XOR still adds, and `Field.kernel` lets sums of many
-products be reduced once (settled) and gathered back (lowered).
+For m <= 16 the field tabulates powers of the generator x: `log[a]` is the
+exponent of a, zero's log is the sentinel z = 2^(m+1) - 3, and `exp` holds
+x^i below z and zeros from z to 2z, so exp[log a + log b] = a*b, zero
+included, with no branch.  Both are arrays of machine integers (1.1 MB at
+m = 16), small enough to stay in cache better than lists of int objects.
+Larger fields lift elements (bit k to bit 8k of an int): one integer multiply
+then leaves the carry-less product in bit 0 of each byte, XOR still adds,
+and `Field.lifted` lets sums of many products be reduced once (settled)
+and gathered back (lowered).
 Inversion is exponentiation by 2^m - 2 (square-and-multiply), which is total
 on nonzero inputs and needs no extended-gcd bookkeeping.
 
 The module also provides dense matrices over a field with exact Gaussian
 elimination: rank and linear solving, which is all the alignment and
-decoding code needs.
+decoding code needs; a row operation reads the pivot row's logs, made once
+per pivot (above 2^16 every row stays lifted).
 """
 
 from __future__ import annotations
 
-import operator
+from array import array
+from itertools import islice, repeat
 from typing import List, Sequence, Tuple
 
 
@@ -79,8 +85,23 @@ _TABLE_LIMIT = 16  # largest m for which exp/log tables are built
 _SPREAD = [int.from_bytes(bytes((b >> k) & 1 for k in range(8)), "little") for b in range(256)]
 
 
+def _tables(m: int, poly: int) -> Tuple[array, array]:
+    """(exp, log) of GF(2^m) over the generator x, zero as the sentinel log."""
+    n = (1 << m) - 1
+    zero = 2 * n - 1  # beyond every sum of two exponents below n
+    exp = array("H", bytes(2 * (2 * zero + 1)))  # x^i below zero, then zeros
+    log = array("L", [zero]) * (n + 1)
+    acc, top, low = 1, 1 << (m - 1), poly ^ (1 << m)
+    for i in range(n):
+        exp[i] = acc
+        log[acc] = i
+        acc = (acc ^ top) << 1 ^ low if acc & top else acc << 1
+    exp[n:zero] = exp[:n - 1]
+    return exp, log
+
+
 def _lifted_kernel(m: int, poly: int):
-    """(lift, product, settle, lower) of GF(2^m) in lifted form, m in 17..32."""
+    """(lift, settle, lower) of GF(2^m) in lifted form, m in 17..32."""
     ones, shift = int.from_bytes(b"\x01" * 2 * m, "little"), 8 * m
 
     def lift(a, s=_SPREAD):
@@ -98,11 +119,11 @@ def _lifted_kernel(m: int, poly: int):
     def lower(v):  # each byte's hex digits are "00" or "01"
         return int(v.to_bytes(m, "big").hex()[1::2], 2)
 
-    return lift, operator.mul, settle, lower
+    return lift, settle, lower
 
 
 class Field:
-    """GF(2^m), 1 <= m <= 32: tables for m <= 16, the lifted form above."""
+    """GF(2^m), 1 <= m <= 32: `exp`/`log` tables for m <= 16, else `lifted`."""
 
     def __init__(self, m: int):
         if not 1 <= m <= 32:
@@ -110,41 +131,16 @@ class Field:
         self.m = m
         self.poly = IRREDUCIBLE_POLY[m]
         self.order = 1 << m
-        self._exp = self._log = None
-        self._lifted = None if m <= _TABLE_LIMIT else _lifted_kernel(m, self.poly)
-        if self._lifted is None:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        # Tabulate powers of x, which generates the whole multiplicative
-        # group because every built-in polynomial is primitive.
-        n = self.order - 1
-        exp = [1] * (2 * n)
-        log = [0] * self.order
-        acc = 1
-        mask, top, p = self.order - 1, self.order >> 1, self.poly
-        for i in range(n):
-            exp[i] = acc
-            log[acc] = i
-            carry = acc & top
-            acc = (acc << 1) & mask
-            if carry:
-                acc ^= p & mask
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp, self._log = exp, log
-
-    @property
-    def kernel(self):
-        """(lift, product, settle, lower) for sums of products; m <= 16: (None, mul, None, None)."""
-        return self._lifted or (None, self.mul, None, None)
+        self.exp = self.log = self.lifted = None
+        if m <= _TABLE_LIMIT:
+            self.exp, self.log = _tables(m, self.poly)
+        else:
+            self.lifted = _lifted_kernel(m, self.poly)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        lift, _, settle, lower = self._lifted
+        if self.exp is not None:
+            return self.exp[self.log[a] + self.log[b]]
+        lift, settle, lower = self.lifted
         return lower(settle(lift(a) * lift(b)))
 
     def pow(self, a: int, e: int) -> int:
@@ -152,9 +148,9 @@ class Field:
             return 1
         if a == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        lift, _, settle, lower = self._lifted
+        if self.exp is not None:
+            return self.exp[(self.log[a] * e) % (self.order - 1)]
+        lift, settle, lower = self.lifted
         r, a, e = 1, lift(a), e % (self.order - 1)  # a^(2^m - 1) = 1, as in the tables
         while e:
             if e & 1:
@@ -172,9 +168,22 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def rand(self, rng) -> int:
-        """Uniform random element (zero included)."""
-        return rng.randrange(self.order)
+    def scale(self, gains: Sequence[int], blocks: Sequence[Sequence[int]]) -> List[int]:
+        """gains[b] times each value of blocks[b], the blocks concatenated."""
+        if self.exp is not None:
+            exp, log = self.exp, self.log
+            return [exp[lg + log[v]] for lg, block in zip(map(log.__getitem__, gains), blocks)
+                    for v in block]
+        return [self.mul(g, v) for g, block in zip(gains, blocks) for v in block]
+
+    def draw(self, rng, count: int) -> List[int]:
+        """`count` uniform elements, the values of as many rng.randrange(2^m).
+
+        Like randrange, each takes m + 1 random bits, drawn again while they
+        reach 2^m; `islice` pulls exactly as many draws as it keeps.
+        """
+        draws = filter(self.order.__gt__, map(rng.getrandbits, repeat(self.m + 1)))
+        return list(islice(draws, count))
 
     def __repr__(self):
         return f"Field(2^{self.m}, poly=0x{self.poly:X})"
@@ -188,45 +197,16 @@ class Matrix:
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
-        field = blocks[0].field
-        n = blocks[0].nrows
-        rows = []
-        for i in range(n):
-            row: List[int] = []
-            for b in blocks:
-                if b.nrows != n:
-                    raise ValueError("row count mismatch")
-                row.extend(b.rows[i])
-            rows.append(row)
-        return cls(field, rows)
-
-    def select_cols(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[r[j] for j in cols] for r in self.rows])
-
-    def scale_rows(self, weights: Sequence[int]) -> "Matrix":
-        """Left-multiply by diag(weights)."""
-        f = self.field
-        return Matrix(f, [[f.mul(w, v) for v in row] for w, row in zip(weights, self.rows)])
-
-    def mul_vec(self, v: Sequence[int]) -> List[int]:
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                acc ^= f.mul(a, b)
-            out.append(acc)
-        return out
+        if len(set(map(len, self.rows))) > 1:
+            raise ValueError("ragged rows")
 
     def _eliminate(self, aug: List[List[int]], width: int) -> Tuple[List[int], List[List[int]]]:
-        """Row-reduce in place over the first `width` columns; returns pivot columns."""
+        """Row-reduce over the first `width` columns; returns the pivot columns and the rows."""
         f = self.field
+        exp, log, n = f.exp, f.log, f.order - 1
+        if exp is None:
+            lift, settle, lower = f.lifted
+            aug = [[lift(v) for v in row] for row in aug]
         pivots = []
         r = 0
         for c in range(width):
@@ -239,16 +219,28 @@ class Matrix:
                 continue
             aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
             # Rows r and below are zero left of column c, so the row
-            # operations start there.
+            # operations start there.  Each reads the normalized pivot row
+            # as logs made once per pivot (or, lifted, as the row itself).
             row = aug[r]
-            inv = f.inv(row[c])
-            row[c:] = [f.mul(inv, v) for v in row[c:]]
-            for i in range(len(aug)):
-                if i != r and aug[i][c]:
-                    factor = aug[i][c]
-                    aug[i][c:] = [v ^ f.mul(factor, w) for v, w in zip(aug[i][c:], row[c:])]
+            if exp is not None:
+                inv = -log[row[c]] % n
+                row[c:] = [exp[inv + log[v]] for v in row[c:]]
+                form = [log[v] for v in row[c:]]
+                for other in aug:
+                    if other is not row and other[c]:
+                        lf = log[other[c]]
+                        other[c:] = [v ^ exp[lf + w] for v, w in zip(other[c:], form)]
+            else:
+                inv = lift(f.inv(lower(row[c])))
+                row[c:] = form = [settle(inv * v) for v in row[c:]]
+                for other in aug:
+                    if other is not row and other[c]:
+                        lf = other[c]
+                        other[c:] = [settle(v ^ lf * w) for v, w in zip(other[c:], form)]
             pivots.append(c)
             r += 1
+        if exp is None:
+            aug = [[lower(v) for v in row] for row in aug]
         return pivots, aug
 
     def rank(self) -> int:

@@ -29,14 +29,16 @@ block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j:
 
 Receiver i sees its desired block D (sender i's data columns, scaled by
 m_ii) and one interference block per other sender (the full V_j, scaled by
-m_ji).  It decodes exactly when D is independent of the interference:
+m_ji); `_receiver` builds the rows of [I | D] in one pass, m_ji(t) V_j[t]
+per slot.  It decodes exactly when D is independent of the interference:
 one elimination of [I | D] accepts iff every desired column is a pivot,
 i.e. rank([I | D]) = rank(I) + k_i.  `check_rank` is that rule at y = 0.
 
-`simulate` draws a fresh scheme every trial, pushes the encoded symbols
-through the network with purely local per-node updates (`propagate` sweeps
-the injected symbols and never reads the m_ji values), decodes each
-receiver by that rule, and counts exact recoveries.
+`simulate` builds the plan's chain once, then draws a fresh scheme every
+trial, pushes the encoded symbols through the network with purely local
+per-node updates (`propagate` sweeps the injected symbols and never reads
+the m_ji values), decodes each receiver by that rule, and counts exact
+recoveries.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dag import Scenario
@@ -57,11 +61,12 @@ from .gf2m import Field, InconsistentSystemError, Matrix
 from .xfer import (
     RATIOS,
     CodingAssignment,
+    SESSION_PAIRS,
     ResampleLimitError,
     SessionPair,
     pair_ratio,
+    propagate,
     session_transfer_matrix,
-    transfer_values,
 )
 
 RESAMPLE_LIMIT = 100
@@ -137,39 +142,36 @@ class EvaluatedScheme:
     def reduced(self) -> bool:
         return not all(self.structure.present.values())
 
-    def sender_matrix(self, j: int) -> Matrix:
-        """The N x k_j matrix sender j actually encodes with."""
-        return self.V[j - 1].select_cols(self.data_cols[j - 1])
 
-    def received_block(self, j: int, i: int, data_only: bool = False) -> Matrix:
-        """diag(m_ji per slot) times V_j (or its data columns)."""
-        base = self.sender_matrix(j) if data_only else self.V[j - 1]
-        return base.scale_rows(self.m_vals[(j, i)])
-
-
-_PAIRS = [(j, i) for j in (1, 2, 3) for i in (1, 2, 3)]
 # Every alignment constraint enforced (EtaGeneral, TypeTwoFive) or none
 # (TrivialThird); EtaOne enforces the ones its network has.
-ALIGNED = reduced_structure(dict.fromkeys(_PAIRS, True))
-UNALIGNED = reduced_structure(dict.fromkeys(_PAIRS, False))
+ALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, True))
+UNALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, False))
+
+
+def plan_chain(sc: Scenario, plan: PrecodingPlan) -> ReducedStructure:
+    """The alignment chain a plan enforces on `sc`."""
+    if plan.kind in ("EtaGeneral", "TypeTwoFive"):
+        return ALIGNED
+    if plan.kind == "EtaOne":
+        return reduced_structure(connectivity_map(sc))
+    if plan.kind == "TrivialThird":
+        return UNALIGNED
+    raise ValueError(f"unknown plan kind {plan.kind!r}")
 
 
 def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
-                       rng: random.Random) -> EvaluatedScheme:
+                       rng: random.Random,
+                       chain: Optional[ReducedStructure] = None) -> EvaluatedScheme:
     """Draw one concrete scheme: N coding assignments plus free scalars.
 
-    A slot whose draw zeroes any transfer function appearing in a profile
+    `chain` is `plan_chain(sc, plan)`, built here when not given.  A slot
+    whose draw zeroes any transfer function appearing in a profile
     denominator is redrawn in full; RESAMPLE_LIMIT consecutive bad draws
     raise ResampleLimitError (tiny field or degenerate topology).
     """
-    if plan.kind in ("EtaGeneral", "TypeTwoFive"):
-        chain = ALIGNED
-    elif plan.kind == "EtaOne":
-        chain = reduced_structure(connectivity_map(sc))
-    elif plan.kind == "TrivialThird":
-        chain = UNALIGNED
-    else:
-        raise ValueError(f"unknown plan kind {plan.kind!r}")
+    if chain is None:
+        chain = plan_chain(sc, plan)
     eta_spec = RATIOS["eta"]
     den_pairs = {p for prof in chain.profile_den for p in prof}
     if plan.n is not None:
@@ -182,7 +184,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     while len(assignments) < plan.N:
         x = CodingAssignment.random(sc, field, rng)
         m = session_transfer_matrix(sc, x, field)
-        if any(m[pair] == 0 for pair in den_pairs):
+        if not all(map(m.__getitem__, den_pairs)):
             misses += 1
             resamples += 1
             if misses >= RESAMPLE_LIMIT:
@@ -201,7 +203,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     # Column families: one free random column per base block, or eta powers
     # (defined, as eta's denominator was resampled).
     if plan.n is None:
-        theta = {b: [field.rand(rng) for _ in range(N)] for b in sorted(set(chain.base))}
+        theta = {b: field.draw(rng, N) for b in sorted(set(chain.base))}
         columns = [[[v] for v in theta[b]] for b in chain.base]
     else:
         theta, n = {}, plan.n
@@ -211,7 +213,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
         if den:  # kept nonzero by resampling
             gains = [pair_ratio(field, m, num, den) for m in slots]
-            rows = [[field.mul(g, v) for v in row] for g, row in zip(gains, rows)]
+            rows = [field.scale((g,), (row,)) for g, row in zip(gains, rows)]
         V.append(Matrix(field, rows))
     data_cols = (((0, 2), (0, 1), (0, 1)) if plan.kind == "TypeTwoFive"
                  else tuple(tuple(range(k)) for k in plan.k))
@@ -221,16 +223,24 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
                            eta_vals=eta_vals, structure=chain, resamples=resamples)
 
 
-def _receiver(es: EvaluatedScheme, i: int) -> Tuple[Matrix, List[Matrix]]:
-    """What receiver i sees: its desired block and its interference blocks.
+def _receiver(es: EvaluatedScheme, i: int) -> Tuple[List[List[int]], Tuple[int, int, int]]:
+    """Receiver i's system [I | D] as rows, and the column each block ends at.
 
-    The desired block is sender i's data columns as received; the
-    interference is the full received block of each other sender.  A sender
-    with no path to receiver i contributes a zero block, which changes no
-    rank and no pivot, so it needs no special case.
+    Row t is m_ji(t) V_j[t] for each other sender j in turn (the full
+    received blocks, its interference I), then m_ii(t) times sender i's data
+    columns of V_i[t] (its desired block D).  A sender with no path to
+    receiver i contributes a zero block, which changes no rank and no pivot,
+    so it needs no special case.
     """
-    return (es.received_block(i, i, data_only=True),
-            [es.received_block(j, i) for j in (1, 2, 3) if j != i])
+    f = es.V[0].field
+    j, k = [j for j in (1, 2, 3) if j != i]
+    data = es.data_cols[i - 1]
+    gains = zip(es.m_vals[(j, i)], es.m_vals[(k, i)], es.m_vals[(i, i)])
+    rows = [f.scale(g, (vj, vk, [vi[c] for c in data]))
+            for g, vj, vk, vi in zip(gains, es.V[j - 1].rows, es.V[k - 1].rows, es.V[i - 1].rows)]
+    first = es.V[j - 1].ncols
+    last = first + es.V[k - 1].ncols
+    return rows, (first, last, last + len(data))
 
 
 def check_alignment(es: EvaluatedScheme) -> bool:
@@ -244,14 +254,17 @@ def check_alignment(es: EvaluatedScheme) -> bool:
     wide.
     """
     plan = es.plan
+    f = es.V[0].field
     for i in (1, 2, 3):
-        _, blocks = _receiver(es, i)
-        joint = Matrix.hstack(blocks).rank()
+        rows, (first, last, _) = _receiver(es, i)
+        joint = Matrix(f, [row[:last] for row in rows]).rank()
         if es.reduced:
             ok = joint <= plan.N - plan.k[i - 1]
         else:
-            wide = max(b.ncols for b in blocks)
-            ok = all(b.rank() == joint for b in blocks if b.ncols == wide)
+            blocks = ((0, first), (first, last))
+            wide = max(hi - lo for lo, hi in blocks)
+            ok = all(Matrix(f, [row[lo:hi] for row in rows]).rank() == joint
+                     for lo, hi in blocks if hi - lo == wide)
         if not ok:
             return False
     return True
@@ -267,18 +280,6 @@ def check_rank(es: EvaluatedScheme) -> Tuple[bool, bool, bool]:
     return tuple(_decode(es, i, zero) is not None for i in (1, 2, 3))
 
 
-def propagate(sc: Scenario, x: CodingAssignment, field: Field,
-              injected: Sequence[int]) -> Tuple[int, int, int]:
-    """Push one slot's symbols through the network by local updates only.
-
-    Injects injected[i-1] on sigma_i, sweeps the per-node combinations in
-    topological order and returns the three tau values.
-    """
-    symbols = transfer_values(sc, x, field,
-                              {sc.sigma(j): injected[j - 1] for j in (1, 2, 3)})
-    return tuple(symbols.get(sc.tau(i), 0) for i in (1, 2, 3))
-
-
 def _decode(es: EvaluatedScheme, i: int, y: Sequence[int]) -> Optional[List[int]]:
     """Receiver i's exact decode; None when the draw leaves it ambiguous.
 
@@ -286,14 +287,12 @@ def _decode(es: EvaluatedScheme, i: int, y: Sequence[int]) -> Optional[List[int]
     column is a pivot, i.e. rank([I | D]) = rank(I) + k_i: the desired
     symbols are then determined whatever the interference carries.
     """
-    desired, blocks = _receiver(es, i)
-    system = Matrix.hstack(blocks + [desired])
-    first = system.ncols - desired.ncols
+    rows, (_, first, width) = _receiver(es, i)
     try:
-        z, pivots = system.solve(y)
+        z, pivots = Matrix(es.V[0].field, rows).solve(y)
     except InconsistentSystemError:
         return None
-    if not set(range(first, system.ncols)) <= set(pivots):
+    if not set(range(first, width)) <= set(pivots):
         return None
     return z[first:]
 
@@ -318,19 +317,20 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
     """Monte-Carlo runs of a plan: fresh scheme, random data, exact decode."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    chain = plan_chain(sc, plan)
     rng = random.Random(seed)
     successes = 0
     failures = [0, 0, 0]
     for _ in range(trials):
-        es = evaluate_precoding(sc, plan, field, rng)
-        xs = [[field.rand(rng) for _ in range(plan.k[j])] for j in range(3)]
-        sent = [es.sender_matrix(j + 1).mul_vec(xs[j]) for j in range(3)]
-        ys = [[0] * plan.N for _ in range(3)]
-        for t in range(plan.N):
-            out = propagate(sc, es.assignments[t], field,
-                            (sent[0][t], sent[1][t], sent[2][t]))
-            for r in range(3):
-                ys[r][t] = out[r]
+        es = evaluate_precoding(sc, plan, field, rng, chain)
+        xs = [field.draw(rng, k) for k in plan.k]
+        sent = []
+        for V, cols, data in zip(es.V, es.data_cols, xs):
+            # data symbol c times data column c, column after column
+            terms = field.scale(data, [[row[c] for row in V.rows] for c in cols])
+            sent.append([reduce(xor, terms[t::plan.N]) for t in range(plan.N)])
+        ys = list(zip(*[propagate(sc, x, field, slot)
+                        for x, slot in zip(es.assignments, zip(*sent))]))
         ok = True
         for i in (1, 2, 3):
             if _decode(es, i, ys[i - 1]) != xs[i - 1]:

@@ -7,12 +7,18 @@ m(src, dst) is the resulting end-to-end gain; expanded, it is the sum over
 all directed paths from src to dst of the product of the coding coefficients
 along the path (a k-edge path contributes k-1 coefficients).
 
-`transfer_values` runs that recurrence once in topological order from any
-set of injected edge values; every numeric transfer value in the package
-comes from it.  `oracle_transfer_poly` instead enumerates paths and returns
-m(src, dst) as an exact sparse polynomial over GF(2); it shares none of the
-recurrence and is the slow route the tests trust.  Monomials with equal
-variable sets cancel in pairs, matching characteristic-2 arithmetic.
+`_sweep` runs that recurrence in topological order over the compiled
+`Scenario.program` ((pred position, pair index) per edge), carrying up to
+three lanes in one pass: `session_transfer_matrix` gets all three sender
+gains from it, `transfer_values` and `propagate` one lane.  Every numeric
+transfer value in the package comes from it.  `oracle_transfer_poly`
+instead enumerates paths and returns m(src, dst) as an exact sparse
+polynomial over GF(2); it shares none of the recurrence and is the slow
+route the tests trust.  Monomials with equal variable sets cancel in
+pairs, matching characteristic-2 arithmetic.  Over GF(2^m) with m <= 16
+the sweep's products are `exp` lookups on logs, each assignment's
+coefficients converted to logs once for all its sweeps; above that they
+are lifted products, settled once per edge (see `gf2m`).
 
 The nine session-to-session transfer functions m_ji (sender edge of session
 j to receiver edge of session i) combine into diagnostic ratios
@@ -46,47 +52,92 @@ class ResampleLimitError(RuntimeError):
 
 
 Var = Tuple[int, int]  # coding coefficient x_{e e'}, keyed by the edge pair
+Program = Sequence[Sequence[Tuple[int, int]]]  # see `Scenario.program`
 
 
 @dataclass
 class CodingAssignment:
-    """One value per adjacent edge pair (a local coding kernel)."""
+    """One value per adjacent edge pair, aligned with `Scenario.pairs` (`index`)."""
 
-    coeffs: Dict[Var, int]
-    _lifted: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    index: Dict[Var, int]
+    values: List[int]
+    _form: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def random(cls, sc: Scenario, field: Field, rng) -> "CodingAssignment":
-        return cls({pair: field.rand(rng) for pair in sc.pairs})
+        """Uniform values, drawn in `sc.pairs` order."""
+        return cls(sc.pair_index, field.draw(rng, len(sc.pairs)))
 
     def __getitem__(self, pair: Var) -> int:
-        return self.coeffs[pair]
+        return self.values[self.index[pair]]
 
-    def lifted(self, lift) -> Dict[Var, int]:
-        """The coefficients lifted by `lift`, once: edit no coefficient after."""
-        if self._lifted is None or self._lifted[0] is not lift:
-            self._lifted = (lift, {pair: lift(c) for pair, c in self.coeffs.items()})
-        return self._lifted[1]
+    def operands(self, field: Field) -> List[int]:
+        """The values as logs (lifted above 2^16), made once: edit no value after."""
+        if self._form is None or self._form[0] is not field:
+            convert = field.log.__getitem__ if field.exp is not None else field.lifted[0]
+            self._form = (field, list(map(convert, self.values)))
+        return self._form[1]
 
 
-def _sweep(sc: Scenario, x: CodingAssignment, kernel, sources: Dict[int, int]) -> Dict[int, int]:
-    """The recurrence of `transfer_values`, leaving values in the form of `Field.kernel`."""
-    lift, product, settle, _ = kernel
-    coeffs = x.lifted(lift) if lift else x.coeffs
-    inject = ({eid: lift(v) for eid, v in sources.items()} if lift else sources).get
-    values: Dict[int, int] = {}
-    lo = min(sc.topo_pos[eid] for eid in sources)
-    for eid in sc.topo_order[lo:]:
-        acc = inject(eid, 0)
-        for prev in sc.pred[eid]:
-            v = values.get(prev)
-            if v:
-                acc ^= product(coeffs[(prev, eid)], v)
-        if acc and lift:
-            acc = settle(acc)
-        if acc:
-            values[eid] = acc
-    return values
+def _sweep(sc: Scenario, x: CodingAssignment, field: Field,
+           inject: Dict[int, Tuple[int, int, int]],
+           programs: Sequence[Program]) -> Tuple[List[int], List[int], List[int]]:
+    """The recurrence of `transfer_values` in one or three lanes, one pass.
+
+    `inject` maps a topological position to its edge's values for the lanes;
+    lane l runs `programs[l]`.  Returns each lane's values by position as
+    logs (zero as the sentinel; a product is one `exp` lookup), or above
+    2^16 lifted (an edge's products are XORed, then settled once).
+    """
+    coeffs = x.operands(field)
+    exp, log = field.exp, field.log
+    size = len(sc.topo_order)
+    three = len(programs) == 3
+    prog1, prog2, prog3 = programs if three else (programs[0], None, None)
+    injected = [(0, 0, 0)] * size
+    for t, vs in inject.items():
+        injected[t] = vs
+    start = min(inject)
+    if exp is not None:
+        lane1 = [log[0]] * size
+        lane2, lane3 = lane1[:], lane1[:]
+        for t in range(start, size):
+            a1, a2, a3 = injected[t]
+            for p, k in prog1[t]:
+                a1 ^= exp[coeffs[k] + lane1[p]]
+            lane1[t] = log[a1]
+            if three:
+                for p, k in prog2[t]:
+                    a2 ^= exp[coeffs[k] + lane2[p]]
+                for p, k in prog3[t]:
+                    a3 ^= exp[coeffs[k] + lane3[p]]
+                lane2[t] = log[a2]
+                lane3[t] = log[a3]
+    else:
+        lift, settle, _ = field.lifted
+        for t, vs in inject.items():
+            injected[t] = tuple(map(lift, vs))
+        lane1, lane2, lane3 = [0] * size, [0] * size, [0] * size
+        for t in range(start, size):
+            a1, a2, a3 = injected[t]
+            for p, k in prog1[t]:
+                a1 ^= coeffs[k] * lane1[p]
+            if a1:
+                lane1[t] = settle(a1)
+            if three:
+                for p, k in prog2[t]:
+                    a2 ^= coeffs[k] * lane2[p]
+                for p, k in prog3[t]:
+                    a3 ^= coeffs[k] * lane3[p]
+                if a2:
+                    lane2[t] = settle(a2)
+                if a3:
+                    lane3[t] = settle(a3)
+    return lane1, lane2, lane3
+
+
+def _plain(field: Field):  # from `_sweep`'s form back to field elements
+    return field.exp.__getitem__ if field.exp is not None else field.lifted[2]
 
 
 def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
@@ -96,25 +147,36 @@ def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
     Single pass in topological order from the earliest source: every edge
     carries its injected value (zero for most) plus sum x_{e'e} value(e')
     over the edges e' into its tail.  With sources {src: 1} the values are
-    the gains m(src, e).  Edges whose value is zero are omitted.  Above
-    2^16 it XORs lifted products and settles once per edge (see `gf2m`).
+    the gains m(src, e).  Edges whose value is zero are omitted.  It runs
+    one lane of `_sweep`.
     """
-    kernel = field.kernel
-    lower = kernel[3]
-    values = _sweep(sc, x, kernel, sources)
-    return values if lower is None else {eid: lower(v) for eid, v in values.items()}
+    pos = sc.topo_pos
+    lane = _sweep(sc, x, field, {pos[eid]: (v, 0, 0) for eid, v in sources.items()},
+                  (sc.program,))[0]
+    return {eid: v for eid, v in zip(sc.topo_order, map(_plain(field), lane)) if v}
+
+
+def propagate(sc: Scenario, x: CodingAssignment, field: Field,
+              injected: Sequence[int]) -> Tuple[int, int, int]:
+    """Push one slot's symbols through the network by local updates only.
+
+    Injects injected[j-1] on sigma_j, sweeps the per-node combinations in
+    topological order (lane 1 of `_sweep`) and returns the three tau values;
+    it never reads a transfer function.
+    """
+    senders, receivers = sc.session_positions
+    lane = _sweep(sc, x, field, {t: (u, 0, 0) for t, u in zip(senders, injected)},
+                  (sc.program,))[0]
+    return tuple(map(_plain(field), [lane[t] for t in receivers]))
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
-    """All nine m_ji values at one assignment (three passes, one per sender)."""
-    kernel = field.kernel
-    lower = kernel[3]
-    out: Dict[Tuple[int, int], int] = {}
-    for j in (1, 2, 3):
-        gains = _sweep(sc, x, kernel, {sc.sigma(j): 1})
-        for i in (1, 2, 3):
-            out[(j, i)] = gains.get(sc.tau(i), 0)
-    return out if lower is None else {ji: lower(v) for ji, v in out.items()}
+    """All nine m_ji at one assignment: one pass, lane j on what sigma_j reaches."""
+    senders, receivers = sc.session_positions
+    lanes = _sweep(sc, x, field, dict(zip(senders, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+                   sc.sender_programs)
+    values = map(_plain(field), [lane[t] for lane in lanes for t in receivers])
+    return dict(zip(SESSION_PAIRS, values))
 
 
 def path_count(sc: Scenario, src: int, dst: int) -> int:
@@ -255,6 +317,7 @@ def oracle_session_polys(sc: Scenario, limit: int = PATH_LIMIT) -> Dict[Tuple[in
 # -- diagnostic ratios and coupling identities ------------------------------
 
 SessionPair = Tuple[int, int]  # (j, i) stands for m_ji
+SESSION_PAIRS = tuple((j, i) for j in (1, 2, 3) for i in (1, 2, 3))
 
 
 @dataclass(frozen=True)

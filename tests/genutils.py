@@ -7,14 +7,20 @@ edge lists, per-edge removal, subset enumeration) so the library's
 algorithms can be checked against code that shares none of their machinery.
 The exception is two small readers, `transfer` and `evaluate_ratio`, which
 take single values off the library's own sweep for tests that need them.
+The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
+multiply through `Field.mul` one entry at a time; `receiver_system` stacks
+them into the block layout that `pbna._receiver` builds in one pass.
 """
 
 import itertools
+from functools import reduce
+from operator import xor
 
 from hypothesis import strategies as st
 
 from netalign.dag import Edge, Scenario, serialize_scenario
-from netalign.xfer import pair_ratio, session_transfer_matrix, transfer_values
+from netalign.gf2m import Matrix
+from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix, transfer_values
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
 
@@ -176,6 +182,16 @@ def layered_dag(rng, width=10, gaps=480, extra=394):
 # -- small readers that only the tests need ----------------------------------
 
 
+def rand(field, rng):
+    """Uniform random element of `field` (zero included)."""
+    return rng.randrange(field.order)
+
+
+def mul_vec(matrix, v):
+    """The matrix times the column v, one `Field.mul` per entry."""
+    return [reduce(xor, map(matrix.field.mul, row, v), 0) for row in matrix.rows]
+
+
 def rand_nonzero(field, rng):
     """Uniform random non-zero element of `field`."""
     return rng.randrange(1, field.order)
@@ -184,6 +200,50 @@ def rand_nonzero(field, rng):
 def column(matrix, j):
     """Column j of a Matrix, as a list."""
     return [row[j] for row in matrix.rows]
+
+
+def assignment(sc, default, overrides=None):
+    """A CodingAssignment of `sc`: `default` on every pair but those in `overrides`."""
+    overrides = overrides or {}
+    return CodingAssignment(sc.pair_index, [overrides.get(p, default) for p in sc.pairs])
+
+
+# -- receiver blocks as separate matrices: the reference layout ---------------
+
+
+def hstack(blocks):
+    """The matrices side by side."""
+    n = blocks[0].nrows
+    if any(b.nrows != n for b in blocks):
+        raise ValueError("row count mismatch")
+    return Matrix(blocks[0].field, [[v for b in blocks for v in b.rows[t]] for t in range(n)])
+
+
+def select_cols(matrix, cols):
+    return Matrix(matrix.field, [[r[j] for j in cols] for r in matrix.rows])
+
+
+def scale_rows(matrix, weights):
+    """diag(weights) times the matrix, one `Field.mul` per entry."""
+    f = matrix.field
+    return Matrix(f, [[f.mul(w, v) for v in row] for w, row in zip(weights, matrix.rows)])
+
+
+def sender_matrix(es, j):
+    """The N x k_j matrix sender j encodes with: its data columns of V_j."""
+    return select_cols(es.V[j - 1], es.data_cols[j - 1])
+
+
+def received_block(es, j, i, data_only=False):
+    """diag(m_ji per slot) times V_j (or its data columns)."""
+    base = sender_matrix(es, j) if data_only else es.V[j - 1]
+    return scale_rows(base, es.m_vals[(j, i)])
+
+
+def receiver_system(es, i):
+    """Receiver i's [I | D]: the other senders' full blocks, then its own data block."""
+    blocks = [received_block(es, j, i) for j in (1, 2, 3) if j != i]
+    return hstack(blocks + [received_block(es, i, i, data_only=True)])
 
 
 # -- single values read off the library sweep ---------------------------------

@@ -7,9 +7,11 @@ irreducibility and primitivity without trusting the library's own test.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
+from genutils import hstack, mul_vec, rand, scale_rows, select_cols
 from netalign.gf2m import (
     IRREDUCIBLE_POLY,
     Field,
@@ -157,7 +159,7 @@ def test_field_laws_sampled_gf2_32():
     f = field(32)
     rng = random.Random(41)
     for _ in range(100):
-        a, b, c = (f.rand(rng) for _ in range(3))
+        a, b, c = (rand(f, rng) for _ in range(3))
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
@@ -184,7 +186,7 @@ def test_mul_pow_inv_match_reference_arithmetic(m):
     rng = random.Random(m)
     edges = [0, 1, 1 << (m - 1), f.order - 1]
     pairs = [(a, b) for a in edges for b in edges]
-    pairs += [(f.rand(rng), f.rand(rng)) for _ in range(200)]
+    pairs += [(rand(f, rng), rand(f, rng)) for _ in range(200)]
     for a, b in pairs:
         assert f.mul(a, b) == poly_mod(clmul(a, b), p)
         e = rng.randrange(0, 3 * f.order)
@@ -193,6 +195,65 @@ def test_mul_pow_inv_match_reference_arithmetic(m):
             assert f.inv(a) == _ref_pow(a, f.order - 2, p)
             assert poly_mod(clmul(a, f.inv(a)), p) == 1
             assert f.pow(a, -e) == f.inv(f.pow(a, e))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_tables_match_reference_at_zero_and_sentinel_edges(m):
+    # log[0] is the sentinel z; exp is x^i below z and zero from z to 2z, so
+    # exp[log a + log b] covers a zero operand, two, and the largest sum of
+    # two exponents (2n - 2) without a branch
+    f, p = Field(m), IRREDUCIBLE_POLY[m]
+    n = f.order - 1
+    z = f.log[0]
+    assert z == 2 * n - 1 and len(f.exp) == 2 * z + 1
+    assert not any(f.exp[z:])
+    ends = {0, n - 1, n, z - 1} - {z}  # GF(2) has z = n
+    assert [f.exp[i] for i in ends] == [_x_pow(i % n, p) for i in ends]
+    top = f.exp[n - 1]  # log n - 1: two of them sum to 2n - 2
+    edges = sorted({0, 1, top, f.exp[n // 2], n})
+    for a in edges:
+        for b in edges:
+            assert f.mul(a, b) == poly_mod(clmul(a, b), p)
+            assert f.scale((a,), ([b, 0, a],)) == [f.mul(a, b), 0, f.mul(a, a)]
+        for e in (0, 1, n - 1, n, 2 * n + 1, -1):
+            assert f.pow(a, e) == (_ref_pow(a, e % n, p) if a else int(e == 0))
+        if a:
+            assert f.inv(a) == _ref_pow(a, f.order - 2, p)
+
+
+def test_tables_stay_small():
+    # GF(2^16)'s padded tables are arrays of machine integers, about 1.1 MB;
+    # as lists of int objects the unpadded ones took 5.75 MB
+    tracemalloc.start()
+    try:
+        f = Field(16)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.mul(2, 3) == 6
+    assert size < 2e6 and peak < 2e6
+
+
+@pytest.mark.parametrize("m", (17, 32))
+def test_lifted_elimination_keeps_rows_lifted(m, monkeypatch):
+    # rows stay lifted through elimination: no element passes Field.mul
+    f = Field(m)
+    rng = random.Random(m)
+    done = 0
+    while done < 10:
+        m4 = Matrix(f, [[rand(f, rng) for _ in range(4)] for _ in range(4)])
+        if m4.rank() != 4:
+            continue
+        x = [rand(f, rng) for _ in range(4)]
+        z, pivots = m4.solve(mul_vec(m4, x))
+        assert pivots == [0, 1, 2, 3] and z == x
+        a, b = rand(f, rng), rand(f, rng)
+        extra = [f.mul(a, u) ^ f.mul(b, v) for u, v in zip(m4.rows[0], m4.rows[1])]
+        tall = Matrix(f, m4.rows[:3] + [extra])
+        with monkeypatch.context() as patch:
+            patch.setattr(Field, "mul", lambda *_: pytest.fail("elimination called Field.mul"))
+            assert tall.rank() == 3
+        done += 1
 
 
 def test_pow_edge_cases():
@@ -239,12 +300,8 @@ def test_degree_bounds_and_errors():
 def test_rand_ranges():
     f = Field(2)
     rng = random.Random(7)
-    seen = set()
-    for _ in range(200):
-        v = f.rand(rng)
-        assert 0 <= v < 4
-        seen.add(v)
-    assert seen == {0, 1, 2, 3}
+    values = f.draw(rng, 200)
+    assert len(values) == 200 and set(values) == {0, 1, 2, 3}
 
 
 def test_shared_field_cache():
@@ -274,8 +331,8 @@ def test_rank_unchanged_by_dependent_row():
     f = field(16)
     rng = random.Random(11)
     for _ in range(25):
-        rows = [[f.rand(rng) for _ in range(4)] for _ in range(3)]
-        a, b = f.rand(rng), f.rand(rng)
+        rows = [[rand(f, rng) for _ in range(4)] for _ in range(3)]
+        a, b = rand(f, rng), rand(f, rng)
         extra = [f.mul(a, u) ^ f.mul(b, v) for u, v in zip(rows[0], rows[1])]
         assert Matrix(f, rows).rank() == Matrix(f, rows + [extra]).rank()
 
@@ -285,11 +342,11 @@ def test_solve_round_trip_square():
     rng = random.Random(13)
     done = 0
     while done < 20:
-        m = Matrix(f, [[f.rand(rng) for _ in range(4)] for _ in range(4)])
+        m = Matrix(f, [[rand(f, rng) for _ in range(4)] for _ in range(4)])
         if m.rank() != 4:
             continue
-        x = [f.rand(rng) for _ in range(4)]
-        z, pivots = m.solve(m.mul_vec(x))
+        x = [rand(f, rng) for _ in range(4)]
+        z, pivots = m.solve(mul_vec(m, x))
         assert pivots == [0, 1, 2, 3] and z == x
         done += 1
 
@@ -299,11 +356,11 @@ def test_solve_tall_full_column_rank():
     rng = random.Random(17)
     done = 0
     while done < 10:
-        m = Matrix(f, [[f.rand(rng) for _ in range(4)] for _ in range(5)])
+        m = Matrix(f, [[rand(f, rng) for _ in range(4)] for _ in range(5)])
         if m.rank() != 4:
             continue
-        x = [f.rand(rng) for _ in range(4)]
-        z, pivots = m.solve(m.mul_vec(x))
+        x = [rand(f, rng) for _ in range(4)]
+        z, pivots = m.solve(mul_vec(m, x))
         assert pivots == [0, 1, 2, 3] and z == x
         done += 1
 
@@ -329,17 +386,19 @@ def test_solve_rhs_length_mismatch():
 
 
 def test_hstack_select_scale_mul_vec():
+    # the matrix helpers of the tests, and `Field.scale` against them
     f = Field(2)  # GF(4)
     a = Matrix(f, [[1, 2], [3, 0]])
     b = Matrix(f, [[2], [1]])
-    stacked = Matrix.hstack([a, b])
+    stacked = hstack([a, b])
     assert stacked.rows == [[1, 2, 2], [3, 0, 1]]
-    assert stacked.select_cols([2, 0]).rows == [[2, 1], [1, 3]]
-    assert a.scale_rows([2, 3]).rows == [[2, 3], [2, 0]]
-    assert a.mul_vec([1, 1]) == [3, 3]
+    assert select_cols(stacked, [2, 0]).rows == [[2, 1], [1, 3]]
+    assert scale_rows(a, [2, 3]).rows == [[2, 3], [2, 0]]
+    assert mul_vec(a, [1, 1]) == [3, 3]
+    assert [f.scale((w, 1), (row, [1])) for w, row in zip([2, 3], a.rows)] == [[2, 3, 1], [2, 0, 1]]
 
 
 def test_hstack_row_mismatch():
     f = Field(2)
     with pytest.raises(ValueError):
-        Matrix.hstack([Matrix(f, [[1], [2]]), Matrix(f, [[1]])])
+        hstack([Matrix(f, [[1], [2]]), Matrix(f, [[1]])])

@@ -10,17 +10,22 @@ import pytest
 from genutils import (
     column,
     make_scenario,
+    rand,
     random_connected_scenario,
     random_scenario,
+    received_block,
+    receiver_system,
+    sender_matrix,
     transfer,
 )
-from netalign import corpus_names, load_corpus
+from netalign import corpus_names, load_corpus, pbna
 from netalign.feasibility import NetworkType, classify, connectivity_map, reduced_structure
 from netalign.gf2m import field
 from netalign.pbna import (
     ALIGNED,
     UNALIGNED,
     PrecodingPlan,
+    _receiver,
     build_plan,
     check_alignment,
     check_rank,
@@ -137,10 +142,50 @@ def test_eta_general_precoders_are_eta_powers():
 def test_type_two_five_sends_outer_columns():
     es = draw("type_two_gadget", PrecodingPlan.type_two_five(), seed=2)
     assert es.data_cols == ((0, 2), (0, 1), (0, 1))
-    sm = es.sender_matrix(1)
+    sm = sender_matrix(es, 1)
     assert sm.ncols == 2
     assert column(sm, 0) == column(es.V[0], 0)
     assert column(sm, 1) == column(es.V[0], 2)
+
+
+def test_receiver_rows_are_the_stacked_blocks():
+    # one pass of m_ji(t) V_j[t] per slot gives what stacking the scaled
+    # blocks gave, for every plan, receiver and field form
+    plans = (PrecodingPlan.eta_general(2), PrecodingPlan.eta_one(),
+             PrecodingPlan.type_two_five(), PrecodingPlan.trivial_third())
+    checked = 0
+    for f in (F16, field(32)):
+        rng = random.Random(8)
+        for name in corpus_names():
+            for plan in plans:
+                try:
+                    es = evaluate_precoding(load_corpus(name), plan, f, rng)
+                except ResampleLimitError:
+                    continue
+                for i in (1, 2, 3):
+                    rows, ends = _receiver(es, i)
+                    ref = receiver_system(es, i)
+                    assert rows == ref.rows, (name, plan.kind, i)
+                    others = [j for j in (1, 2, 3) if j != i]
+                    assert ends == (es.V[others[0] - 1].ncols,
+                                    es.V[others[0] - 1].ncols + es.V[others[1] - 1].ncols,
+                                    ref.ncols)
+                    checked += 1
+    assert checked >= 100
+
+
+def test_simulate_builds_the_chain_once(monkeypatch):
+    calls = []
+    real = pbna.connectivity_map
+
+    def counted(sc):
+        calls.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(pbna, "connectivity_map", counted)
+    res = simulate(load_corpus("m21_dead"), PrecodingPlan.eta_one(), trials=30, field=F16, seed=3)
+    assert res.successes == 30
+    assert len(calls) == 1
 
 
 def test_eta_vals_undefined_on_disjoint_paths():
@@ -160,7 +205,7 @@ def test_propagate_is_linear_in_injections():
         for _ in range(4):
             x = CodingAssignment.random(sc, F16, rng)
             m = session_transfer_matrix(sc, x, F16)
-            u = [F16.rand(rng) for _ in range(3)]
+            u = [rand(F16, rng) for _ in range(3)]
             got = propagate(sc, x, F16, u)
             for i in (1, 2, 3):
                 want = 0
@@ -176,13 +221,13 @@ def test_eta_general_alignment_identities():
     n = 2
     for seed in range(6):
         es = draw("rich_type3", PrecodingPlan.eta_general(n), seed=seed)
-        b21, b31 = es.received_block(2, 1), es.received_block(3, 1)
+        b21, b31 = received_block(es, 2, 1), received_block(es, 3, 1)
         for c in range(n):
             assert column(b21, c) == column(b31, c)
-        b12, b32 = es.received_block(1, 2), es.received_block(3, 2)
+        b12, b32 = received_block(es, 1, 2), received_block(es, 3, 2)
         for c in range(n):
             assert column(b32, c) == column(b12, c + 1)
-        b13, b23 = es.received_block(1, 3), es.received_block(2, 3)
+        b13, b23 = received_block(es, 1, 3), received_block(es, 2, 3)
         for c in range(n):
             assert column(b23, c) == column(b13, c)
         assert check_alignment(es)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutils import (
+    assignment,
     evaluate_ratio,
     make_scenario,
+    rand,
     random_connected_scenario,
     rand_nonzero,
     random_scenario,
@@ -72,7 +74,7 @@ def test_sparse_poly_evaluate():
     f = field(4)
     x, y = (0, 1), (1, 2)
     p = SparsePoly([_mono((x, 1), (y, 1)), _mono((x, 2))])
-    a = CodingAssignment({x: 3, y: 7})
+    a = CodingAssignment({x: 0, y: 1}, [3, 7])
     assert p.evaluate(f, a) == f.mul(3, 7) ^ f.mul(3, 3)
     assert SparsePoly.one().evaluate(f, a) == 1
     assert SparsePoly.zero().evaluate(f, a) == 0
@@ -86,9 +88,7 @@ def test_single_path_transfer():
     poly = oracle_transfer_poly(sc, 1, 5)  # sigma_1 to tau_1 through the hub
     assert poly == SparsePoly([_mono(((1, 4), 1), ((4, 5), 1))])
     f = field(8)
-    x = CodingAssignment({pair: 1 for pair in sc.pairs})
-    x.coeffs[(1, 4)] = 5
-    x.coeffs[(4, 5)] = 6
+    x = assignment(sc, 1, {(1, 4): 5, (4, 5): 6})
     assert transfer(sc, x, f, 1, 5) == f.mul(5, 6)
     assert poly.evaluate(f, x) == f.mul(5, 6)
 
@@ -176,6 +176,35 @@ def test_single_sweep_matches_oracle_and_superposes(sc, data):
         assert joint.get(dst, 0) == want
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(scenarios(), st.data())
+def test_one_pass_gains_match_single_sweeps_and_oracle(sc, data):
+    # the three sender gains of one pass are the single-source sweeps'
+    # values at the receivers, and those are the oracle's polynomials
+    f = field(data.draw(st.sampled_from([1, 4, 16, 17, 32])))
+    x = CodingAssignment.random(sc, f, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    m = session_transfer_matrix(sc, x, f)
+    for j in (1, 2, 3):
+        gains = transfer_values(sc, x, f, {sc.sigma(j): 1})
+        for i in (1, 2, 3):
+            want = oracle_transfer_poly(sc, sc.sigma(j), sc.tau(i)).evaluate(f, x)
+            assert m[(j, i)] == gains.get(sc.tau(i), 0) == want
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_random_assignment_replays_randrange(m):
+    # the draws, their order and the generator's state after them are those
+    # of one rng.randrange(2**m) per pair
+    sc = load_corpus("eta_one_corridor")
+    f = field(m)
+    for seed in (0, 1, 2, 12345):
+        rng, ref = random.Random(seed), random.Random(seed)
+        x = CodingAssignment.random(sc, f, rng)
+        assert x.values == [ref.randrange(2**m) for _ in sc.pairs]
+        assert [x[pair] for pair in sc.pairs] == x.values
+        assert rng.getstate() == ref.getstate()
+
+
 # -- diagnostic ratios -----------------------------------------------------------
 
 
@@ -203,7 +232,7 @@ def test_ratios_on_shared_bottleneck():
     f = field(16)
     rng = random.Random(61)
     for _ in range(20):
-        x = CodingAssignment({p: rand_nonzero(f, rng) for p in sc.pairs})
+        x = CodingAssignment(sc.pair_index, [rand_nonzero(f, rng) for _ in sc.pairs])
         for spec in RATIOS.values():
             assert evaluate_ratio(sc, x, f, spec) == 1
 
@@ -211,8 +240,7 @@ def test_ratios_on_shared_bottleneck():
 def test_denominator_zero_signal():
     sc = load_corpus("shared_bottleneck")
     f = field(16)
-    x = CodingAssignment({p: 1 for p in sc.pairs})
-    x.coeffs[(1, 4)] = 0  # kills m11 and with it p1's denominator
+    x = assignment(sc, 1, {(1, 4): 0})  # kills m11 and with it p1's denominator
     assert evaluate_ratio(sc, x, f, RATIOS["p1"]) is None
     assert evaluate_ratio(sc, x, f, RATIOS["p3"]) == 1
 
@@ -228,7 +256,7 @@ def test_pair_product_multiplies_only_between_factors(monkeypatch):
 
     monkeypatch.setattr(Field, "mul", counted)
     rng = random.Random(71)
-    m = {(j, i): f.rand(rng) for j in (1, 2, 3) for i in (1, 2, 3)}
+    m = {(j, i): rand(f, rng) for j in (1, 2, 3) for i in (1, 2, 3)}
     m[(2, 2)] = 0
     for k in range(5):
         for _ in range(10):
@@ -247,7 +275,7 @@ def test_wide_sweeps_lift_each_coefficient_once_and_call_no_mul(monkeypatch):
     x = CodingAssignment.random(sc, f, random.Random(5))
     polys = oracle_session_polys(sc)
     want = {pair: poly.evaluate(f, x) for pair, poly in polys.items()}
-    lift, product, settle, lower = f.kernel
+    lift, settle, lower = f.lifted
     lifted = []
 
     def counted(a):
@@ -257,11 +285,12 @@ def test_wide_sweeps_lift_each_coefficient_once_and_call_no_mul(monkeypatch):
     def no_mul(self, a, b):
         raise AssertionError("a lifted sweep multiplies in lifted form")
 
-    monkeypatch.setattr(f, "_lifted", (counted, product, settle, lower))
+    monkeypatch.setattr(f, "lifted", (counted, settle, lower))
     monkeypatch.setattr(Field, "mul", no_mul)
     assert session_transfer_matrix(sc, x, f) == want
-    # every coefficient once for all three sweeps, plus each sweep's source
-    assert len(lifted) == len(sc.pairs) + 3
+    # every coefficient once for the three lanes, plus the three lane
+    # values each sender edge injects
+    assert len(lifted) == len(sc.pairs) + 9
 
 
 def test_pointwise_ratio_identities():
