@@ -1,7 +1,9 @@
 """CLI behavior: JSON reports, seeds, exit codes, subprocess entry."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,92 @@ def test_resample_limit_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate", boom)
     assert main(["simulate", path, "--trials", "5"]) == 3
     assert "forced" in capsys.readouterr().err
+
+
+# -- stdout guard ---------------------------------------------------------------------
+
+GUARD_COMMANDS = {
+    "cross_check_32": ["classify", "--cross-check", "--field-bits", "32"],
+    "cross_check_8": ["classify", "--cross-check", "--field-bits", "8"],
+    "simulate_50": ["simulate", "--trials", "50"],
+}
+
+
+def scrambled_text(name):
+    """A corpus gadget with fresh scattered ids, shuffled lines and comments.
+
+    The new ids are drawn at random, so their order differs from the
+    topological order; nothing printed may depend on that difference
+    except the ids themselves.
+    """
+    rng = random.Random(f"scramble:{name}")
+    lines = serialize_scenario(load_corpus(name)).splitlines()
+    edges = [line.split()[2:] for line in lines if line.startswith("edge ")]
+    fresh = rng.sample(range(1000), len(edges))
+    lines = [line for line in lines if not line.startswith("edge ")]
+    lines += [f"edge {eid} {tail} {head}" for eid, (tail, head) in zip(fresh, edges)]
+    lines += ["# a comment", ""]
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def guard_digests(tmp_path, capsys, name):
+    plain = corpus_file(tmp_path, name)
+    scrambled = tmp_path / f"{name}-scrambled.scn"
+    scrambled.write_text(scrambled_text(name))
+    digests = {}
+    for key, argv in GUARD_COMMANDS.items():
+        out = []
+        for path in (plain, str(scrambled)):
+            assert main(argv[:1] + [path] + argv[1:]) == 0
+            out.append(capsys.readouterr().out)
+        digests[key] = hashlib.sha256("".join(out).encode()).hexdigest()
+    return digests
+
+
+# sha256 of the stdout of each command on the gadget, then on its scrambled copy.
+GUARD_DIGESTS = {
+    "eta_one_corridor": {
+        "cross_check_32": "34bd207364fb52c120d5db8aa2289d488269c202145e988cb4d3971fec77bc97",
+        "cross_check_8": "48f6ac3e36672103e8de27f8fbaefc911c3aaef7b4a3165a0d5d1c7158e00977",
+        "simulate_50": "f2efc261552588c5185d4bae7ce4624f5c2997b940e99bf84b9dd8799bbabcf3",
+    },
+    "m21_dead": {
+        "cross_check_32": "5c2d493a5d38209b09167eafbff77b939103c6193cfb218d968284c014d0e50b",
+        "cross_check_8": "7b0f5ebf8c11004a86fcbcc07056253afaddf418b4eb722e84e5dc934c63ffc4",
+        "simulate_50": "147f7a4469b62b8aeb1a35aee54e2a719dc9c7c8e1abd1d947fce8ab61ebf821",
+    },
+    "rich_type3": {
+        "cross_check_32": "d40f3b08b45a2b5486a41a3e864f96e9fdeea075f1996c22e13ad93e845c69e5",
+        "cross_check_8": "4476c2756202bbb3453a646161e34fce77931bb7c297043aee69b602963fe5f2",
+        "simulate_50": "07a31642c04e5bb857bd799c545e702d0312d16fc5be0a783fbad128b5c3edd3",
+    },
+    "shared_bottleneck": {
+        "cross_check_32": "b22c298e3b575632ec40f10460769d7dd0c263d3ad2909680a260067188ca00f",
+        "cross_check_8": "bca9b8187c4795f50b7e6137147475f04b93c78848a9cc5827928bdd84fce99e",
+        "simulate_50": "eeeadcf903136ec3f726d069a1dafc31f0aa6cbc066e05358f01d54f554f3011",
+    },
+    "three_disjoint": {
+        "cross_check_32": "93de0d3f5243a25d8879fbcb51c7b96acd2ac08bd5baed202cf43dc5ca04f8a1",
+        "cross_check_8": "7f875a5231d608a6d9ac0fe428a64cf90c436000cb6c66c93c6685c508febb5d",
+        "simulate_50": "32b40d52bfa877fcc58e762756a73f48a159900b9fbd8dc085a4ac3eaa8ec05a",
+    },
+    "two_corridor": {
+        "cross_check_32": "e2b61de9b5015269e7868fcd81cbf7bfb9d89618800c7ae4e1cbb65d153c2531",
+        "cross_check_8": "cfa810f4e093e6784a725743be5efba6eb1f93113ac3aaaae3bf6e69af363a21",
+        "simulate_50": "211235a95936875b01456270830750670dd7d609ba46c65f2c5fae09e0b4db50",
+    },
+    "type_two_gadget": {
+        "cross_check_32": "b29428bc9c4bd41bb19262107e89dbf3add686bf431affea6a91f7ccd5e3a02c",
+        "cross_check_8": "d7149177053cf91a8f4434ef7d5264118153da265734b9ecfb84a2a2598df4dd",
+        "simulate_50": "899056347ca148f00f4bd7f40fc767babea3220c7ccba699137f43f2fb6986f9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_stdout_is_pinned(tmp_path, capsys, name):
+    assert guard_digests(tmp_path, capsys, name) == GUARD_DIGESTS[name]
 
 
 # -- module entry ---------------------------------------------------------------------
