@@ -52,10 +52,10 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
 def _scenario_digest(sc: Scenario) -> Dict:
     return {
         "nodes": len(sc.nodes),
-        "edges": len(sc.topo_order),
+        "edges": len(sc.ids),
         "sessions": [[s.sender, s.receiver] for s in sc.sessions],
-        "sigma": [sc.sigma(i) for i in (1, 2, 3)],
-        "tau": [sc.tau(i) for i in (1, 2, 3)],
+        "sigma": [s.sender_edge for s in sc.sessions],
+        "tau": [s.receiver_edge for s in sc.sessions],
     }
 
 

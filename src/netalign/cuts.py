@@ -1,9 +1,11 @@
 """Single-edge bottlenecks, their meeting points, and two-pair cuts.
 
-A bottleneck between edges src and dst is an edge whose removal disconnects
-every directed path from src to dst (src and dst themselves always qualify
-when a path exists): an edge that dominates dst from src, so the set is
-dst's chain in src's dominator tree (`Scenario.dominators`).  Segment rule:
+Edges are `Scenario` indices, numbered in topological order, so "first"
+and "last" below are `min` and `max`.  A bottleneck between edges src and
+dst is an edge whose removal disconnects every directed path from src to
+dst (src and dst themselves always qualify when a path exists): an edge
+that dominates dst from src, so the set is dst's chain in src's dominator
+tree (`Scenario.dominators`, an `idom` list).  Segment rule:
 when src lies on dst's chain in a tree already built, the set is the chain
 from src on, since every path from that tree's root to dst passes src.
 Alpha dominates both its receivers from its sender, so every query
@@ -16,6 +18,9 @@ Two derived edges drive the coupling checks for sessions (i, j, k):
 * beta(i, j, k): the topologically first bottleneck shared by sigma_j-to-
   tau_k paths and alpha-to-tau_k paths.
 
+Both lie on one dominator chain, whose members are totally ordered by
+reachability, so any topological numbering picks the same two edges.
+
 `cut_by_pair` answers the two-sender/two-receiver cut queries without any
 flow computation.  Each sender edge carries one unit, so the cut is 0, 1 or
 2, and a single edge separates the senders from the receivers exactly when
@@ -23,9 +28,9 @@ it is a bottleneck of every connected (sender, receiver) pair: the cut is 0
 when no pair connects, 1 when the non-empty bottleneck sets of the four
 pairs share an edge, and 2 otherwise.
 
-`min_cut` is the general unit-capacity max-flow (edges split into an entry
-and exit vertex joined by a unit arc, augmenting paths by breadth-first
-search).  No classification runs it; it stays as a reference for cuts of
+`min_cut` is the general unit-capacity max-flow on the same index
+adjacency (edges split into an entry and exit vertex joined by a unit arc,
+augmenting paths by breadth-first search).  No classification runs it; it stays as a reference for cuts of
 any size.
 """
 
@@ -75,12 +80,11 @@ def bottleneck_set(sc: Scenario, src: int, dst: int,
         result = bottleneck_set(sc, src, dst)
         cache[(src, dst)] = result
         return result
-    pos = sc.topo_pos
     for idom in [*sc.dominator_trees.values(), None]:
         idom = idom or sc.dominators(src)
-        if src in idom and dst in idom:
+        if idom[src] >= 0 and idom[dst] >= 0:
             chain = [dst]
-            while pos[chain[-1]] > pos[src]:
+            while chain[-1] > src:
                 chain.append(idom[chain[-1]])
             if chain[-1] == src:
                 return BottleneckSet(src, dst, chain[::-1])
@@ -88,14 +92,13 @@ def bottleneck_set(sc: Scenario, src: int, dst: int,
 
 
 def _require_path(sc: Scenario, src: int, dst: int) -> None:
-    if dst not in sc.dominators(src):
-        raise DisconnectedError(f"no path from edge {src} to edge {dst}")
+    if sc.dominators(src)[dst] < 0:
+        raise DisconnectedError(f"no path from edge {sc.ids[src]} to edge {sc.ids[dst]}")
 
 
 def alpha_beta(sc: Scenario, i: int, j: int, k: int,
                cache: dict | None = None) -> AlphaBeta:
     """The shared-bottleneck meeting edges for the session triple (i, j, k)."""
-    pos = sc.topo_pos
     alpha = alpha_edge(sc, i, j, k, cache)
     _require_path(sc, sc.sigma(j), sc.tau(k))
     c_jk = bottleneck_set(sc, sc.sigma(j), sc.tau(k), cache)
@@ -104,7 +107,7 @@ def alpha_beta(sc: Scenario, i: int, j: int, k: int,
     if not meet:
         raise DisconnectedError(
             f"no common bottleneck toward receiver {k} for sessions ({i},{j},{k})")
-    beta = min(meet, key=pos.__getitem__)
+    beta = min(meet)
     return AlphaBeta(i, j, k, alpha, beta)
 
 
@@ -117,7 +120,7 @@ def alpha_edge(sc: Scenario, i: int, j: int, k: int,
     c_ik = bottleneck_set(sc, sc.sigma(i), sc.tau(k), cache)
     common = set(c_ij.members) & set(c_ik.members)
     # sigma_i belongs to both sets, so the intersection cannot be empty.
-    return max(common, key=sc.topo_pos.__getitem__)
+    return max(common)
 
 
 def parallel(sc: Scenario, e1: int, e2: int) -> bool:
@@ -145,10 +148,10 @@ def min_cut(sc: Scenario, sources: Iterable[int], sinks: Iterable[int]) -> int:
         cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
         cap.setdefault(v, {}).setdefault(u, 0)
 
-    for e in sc.edges:
-        arc(("i", e.id), ("o", e.id), 1)
-        for nxt in sc.succ[e.id]:
-            arc(("o", e.id), ("i", nxt), _INF)
+    for e, succ in enumerate(sc.succ):
+        arc(("i", e), ("o", e), 1)
+        for nxt in succ:
+            arc(("o", e), ("i", nxt), _INF)
     for s in sources:
         arc("S", ("i", s), 1)
     for t in sinks:

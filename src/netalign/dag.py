@@ -3,8 +3,15 @@
 Edges are the primary objects: coding happens on edges, transfer functions
 and cuts are stated in terms of edges, and each session is pinned to a
 designated sender edge (the unique edge out of its sender node) and receiver
-edge (the unique edge into its receiver node).  Parallel edges are allowed,
-so edges carry their own integer ids and all adjacency is id-based.
+edge (the unique edge into its receiver node).  Parallel edges are allowed.
+
+Inside a `Scenario` an edge is its index: the edges are numbered 0..E-1 in
+topological order, so every predecessor of an edge has a smaller index and
+"topologically earlier" is plain `<`.  Nodes are numbered by sorted name,
+and all adjacency is lists of indices.  The ids written in the file live in
+one column, `Scenario.ids`, and appear only at the boundary: `edges`,
+`sessions`, `pairs` (the coding variables), `serialize_scenario` and error
+messages.
 
 Scenario files are line oriented::
 
@@ -13,17 +20,19 @@ Scenario files are line oriented::
     edge 3 a b        (id, tail, head)
     session 1 s1 d1   (session index 1..3, sender node, receiver node)
 
-Model requirements checked on construction: the graph is acyclic, every
-sender node has exactly one outgoing and no incoming edge, every receiver
-node has exactly one incoming and no outgoing edge, and the six designated
+Edge ids and session indices are written in ASCII digits.  Model
+requirements checked on construction: the graph is acyclic, every sender
+node has exactly one outgoing and no incoming edge, every receiver node has
+exactly one incoming and no outgoing edge, and the six designated
 sender/receiver edges are pairwise distinct.
 """
 
 from __future__ import annotations
 
-import heapq
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
@@ -47,114 +56,134 @@ class Session:
     index: int
     sender: str
     receiver: str
-    sender_edge: int
+    sender_edge: int  # edge ids, as written in the file
     receiver_edge: int
 
 
 class Scenario:
-    """An acyclic multigraph plus three pinned unicast sessions."""
+    """An acyclic multigraph plus three pinned unicast sessions.
 
-    def __init__(self, nodes: Iterable[str], edges: Sequence[Edge],
-                 sessions: Sequence[Tuple[int, str, str]]):
-        self._build(nodes, [e.id for e in edges], [e.tail for e in edges],
-                    [e.head for e in edges], sessions)
+    Edge k has id `ids[k]` and runs from node `tails[k]` to node `heads[k]`
+    (positions in `nodes`).  `succ[k]` and `pred[k]` are the edges leaving
+    its head and entering its tail; `out_edges[v]` and `in_edges[v]` are the
+    edges leaving and entering node v.  Every such list is in id order, and
+    a node's out-edges are consecutive, so `out_edges[v]` is a range.
+    """
 
-    @classmethod
-    def from_columns(cls, nodes, ids, tails, heads, sessions) -> Scenario:
-        """The scenario whose edge ids[k] runs from tails[k] to heads[k]."""
-        sc = cls.__new__(cls)
-        sc._build(nodes, ids, tails, heads, sessions)
-        return sc
-
-    def _build(self, nodes, ids, tails, heads, sessions) -> None:
-        if len(set(ids)) != len(ids):
+    def __init__(self, nodes: Iterable[str], ids: Sequence[int], tails: Sequence[str],
+                 heads: Sequence[str], sessions: Sequence[Tuple[int, str, str]]):
+        """The scenario whose edge with id ids[q] runs from tails[q] to heads[q]."""
+        count = len(ids)
+        line = dict(zip(ids, range(count)))
+        if len(line) != count:
             raise ModelViolationError("duplicate edge ids")
-        # Columns in id order; `edges` is made from them on first access.
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids, tails, heads = self._columns = [[c[k] for k in order] for c in (ids, tails, heads)]
+        by_id = list(map(line.__getitem__, sorted(line)))  # q in id order
         self.nodes = sorted({*nodes, *tails, *heads})
+        number = dict(zip(self.nodes, range(len(self.nodes))))
+        tails = list(map(number.__getitem__, tails))
+        heads = list(map(number.__getitem__, heads))
+        if any(map(eq, tails, heads)):
+            loop = min(ids[q] for q in range(count) if tails[q] == heads[q])
+            raise ModelViolationError(f"self-loop on edge {loop}")
+        outs: List[List[int]] = [[] for _ in self.nodes]
+        for q in by_id:
+            outs[tails[q]].append(q)
+        pending = [0] * len(self.nodes)
+        for v in heads:
+            pending[v] += 1
 
-        self.out_edges: Dict[str, List[int]] = {v: [] for v in self.nodes}
-        self.in_edges: Dict[str, List[int]] = {v: [] for v in self.nodes}
-        for eid, tail, head in zip(ids, tails, heads):
-            if tail == head:
-                raise ModelViolationError(f"self-loop on edge {eid}")
-            self.out_edges[tail].append(eid)
-            self.in_edges[head].append(eid)
-        # Edge adjacency by edge id: the edges leaving an edge's head and
-        # the edges entering its tail.
-        self.succ: Dict[int, List[int]] = dict(zip(ids, map(self.out_edges.__getitem__, heads)))
-        self.pred: Dict[int, List[int]] = dict(zip(ids, map(self.in_edges.__getitem__, tails)))
+        # Kahn's algorithm at edge granularity, first in first out: a node's
+        # out-edges join the queue, in id order, once its last in-edge has
+        # left it; the nodes without in-edges start it, in name order.  The
+        # order depends on the edges alone, never on the order of the lines,
+        # and numbers each node's out-edges consecutively.
+        first = [0] * len(self.nodes)
+        order: List[int] = []
+        for v, qs in enumerate(outs):
+            if not pending[v]:
+                first[v] = len(order)
+                order += qs
+        for q in order:  # the loop also visits what it appends
+            v = heads[q]
+            pending[v] -= 1
+            if not pending[v]:
+                first[v] = len(order)
+                order += outs[v]
+        if len(order) != count:
+            raise ModelViolationError("graph has a directed cycle")
 
-        self.sessions = self._pin_sessions(sessions)
-        self.topo_order = self._edge_topo_order(dict(zip(ids, heads)))
-        self.topo_pos = dict(zip(self.topo_order, range(len(ids))))
+        # Renumber: edge q becomes its position in the order.
+        index = [0] * count
+        for k, q in enumerate(order):
+            index[q] = k
+        self.ids = list(map(ids.__getitem__, order))
+        self.tails = list(map(tails.__getitem__, order))
+        self.heads = list(map(heads.__getitem__, order))
+        self.out_edges = [range(k, k + len(qs)) for k, qs in zip(first, outs)]
+        self.in_edges: List[List[int]] = [[] for _ in self.nodes]
+        for q in by_id:
+            self.in_edges[heads[q]].append(index[q])
+        self.succ = list(map(self.out_edges.__getitem__, self.heads))
+        self.pred = list(map(self.in_edges.__getitem__, self.tails))
+
+        self.sessions, self.senders, self.receivers = self._pin_sessions(sessions, number)
         self._reach: Dict[Tuple[int, bool], FrozenSet[int]] = {}
-        self.dominator_trees: Dict[int, Dict[int, int]] = {}
+        self.dominator_trees: Dict[int, List[int]] = {}
 
     @cached_property
     def edges(self) -> List[Edge]:
         """Every edge as an `Edge`, in id order."""
-        return list(map(Edge, *self._columns))
+        ids, names = self.ids, self.nodes
+        return [Edge(ids[k], names[self.tails[k]], names[self.heads[k]])
+                for k in sorted(range(len(ids)), key=ids.__getitem__)]
 
-    def _pin_sessions(self, sessions) -> List[Session]:
+    def _pin_sessions(self, sessions, number):
+        """The sessions, and the indices of their sender and of their receiver edges."""
         if sorted(s[0] for s in sessions) != [1, 2, 3]:
             raise ModelViolationError("need exactly sessions 1, 2, 3")
-        pinned = []
+        pinned, senders, receivers = [], [], []
         for index, sender, receiver in sorted(sessions):
             for v, role in ((sender, "sender"), (receiver, "receiver")):
-                if v not in self.out_edges:
+                if v not in number:
                     raise ModelViolationError(f"{role} node {v!r} not in graph")
-            if len(self.out_edges[sender]) != 1 or self.in_edges[sender]:
+            outs, ins = self.out_edges[number[sender]], self.in_edges[number[sender]]
+            if len(outs) != 1 or ins:
                 raise ModelViolationError(
                     f"sender {sender!r} must have exactly one outgoing and no incoming edge")
-            if len(self.in_edges[receiver]) != 1 or self.out_edges[receiver]:
+            senders.append(outs[0])
+            outs, ins = self.out_edges[number[receiver]], self.in_edges[number[receiver]]
+            if len(ins) != 1 or outs:
                 raise ModelViolationError(
                     f"receiver {receiver!r} must have exactly one incoming and no outgoing edge")
+            receivers.append(ins[0])
             pinned.append(Session(index, sender, receiver,
-                                  self.out_edges[sender][0], self.in_edges[receiver][0]))
-        special = [s.sender_edge for s in pinned] + [s.receiver_edge for s in pinned]
-        if len(set(special)) != 6:
+                                  self.ids[senders[-1]], self.ids[receivers[-1]]))
+        if len({*senders, *receivers}) != 6:
             raise ModelViolationError("sender and receiver edges must be six distinct edges")
-        return pinned
-
-    def _edge_topo_order(self, head: Dict[int, str]) -> List[int]:
-        # Kahn's algorithm at edge granularity: a node's out-edges are ready
-        # once its last in-edge has been emitted.  The heap makes the order
-        # canonical: among ready edges, smallest id first.
-        pending = {v: len(ins) for v, ins in self.in_edges.items()}
-        ready = [eid for v, outs in self.out_edges.items() if not pending[v] for eid in outs]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            eid = heapq.heappop(ready)
-            order.append(eid)
-            v = head[eid]
-            pending[v] -= 1
-            if not pending[v]:
-                for nxt in self.out_edges[v]:
-                    heapq.heappush(ready, nxt)
-        if len(order) != len(head):
-            raise ModelViolationError("graph has a directed cycle")
-        return order
+        return pinned, tuple(senders), tuple(receivers)
 
     # -- session accessors -------------------------------------------------
 
     def sigma(self, i: int) -> int:
-        """Sender edge id of session i."""
-        return self.sessions[i - 1].sender_edge
+        """Sender edge of session i."""
+        return self.senders[i - 1]
 
     def tau(self, i: int) -> int:
-        """Receiver edge id of session i."""
-        return self.sessions[i - 1].receiver_edge
+        """Receiver edge of session i."""
+        return self.receivers[i - 1]
 
     # -- adjacency and reachability ----------------------------------------
 
     @cached_property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """All (upstream, downstream) edge pairs meeting at a node, by node."""
-        return tuple((a, b) for v in self.nodes
-                     for a in self.in_edges[v] for b in self.out_edges[v])
+        """Every (upstream, downstream) edge pair meeting at a node, as ids.
+
+        By node name, then upstream id, then downstream id: the order of
+        the coding variables, in which `CodingAssignment.random` draws.
+        """
+        ids = self.ids
+        return tuple((ids[a], ids[b]) for ins, outs in zip(self.in_edges, self.out_edges)
+                     for a in ins for b in outs)
 
     @cached_property
     def pair_index(self) -> Dict[Tuple[int, int], int]:
@@ -162,26 +191,32 @@ class Scenario:
         return dict(zip(self.pairs, range(len(self.pairs))))
 
     @cached_property
-    def session_positions(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Topological positions of the three sender edges and of the three receiver edges."""
-        pos = self.topo_pos
-        return (tuple(pos[s.sender_edge] for s in self.sessions),
-                tuple(pos[s.receiver_edge] for s in self.sessions))
+    def pair_count(self) -> int:
+        """len(pairs), without building them."""
+        return sum(len(ins) * len(outs) for ins, outs in zip(self.in_edges, self.out_edges))
 
     @cached_property
-    def program(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """For each edge in topological order, (pred position, pair index) per predecessor."""
-        return self._program(self.topo_pos)
+    def program(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """For each edge, (pred, pair position in `pairs`) per predecessor."""
+        rows = [()] * len(self.ids)
+        base = 0
+        for ins, outs in zip(self.in_edges, self.out_edges):
+            # The pair of ins[a] and outs[b] sits at base + a * len(outs) + b.
+            n = len(outs)
+            for b, e in enumerate(outs):
+                rows[e] = tuple(zip(ins, range(base + b, base + n * len(ins), n)))
+            base += n * len(ins)
+        return rows
 
     @cached_property
     def sender_programs(self):
         """`program` once per sender edge, on the edges it reaches (its dominator tree)."""
-        return tuple(self._program(self.dominators(s.sender_edge)) for s in self.sessions)
-
-    def _program(self, keep):
-        pos, index = self.topo_pos, self.pair_index
-        return tuple(tuple((pos[p], index[p, e]) for p in self.pred[e] if p in keep)
-                     if e in keep else () for e in self.topo_order)
+        programs = []
+        for src in self.senders:
+            idom = self.dominators(src)
+            programs.append([tuple((p, k) for p, k in row if idom[p] >= 0) if idom[e] >= 0 else ()
+                             for e, row in enumerate(self.program)])
+        return tuple(programs)
 
     def reachable_edges(self, start: int, forward: bool = True,
                         banned: Iterable[int] = ()) -> FrozenSet[int]:
@@ -219,43 +254,79 @@ class Scenario:
         """True when a directed path of edges leads from src to dst."""
         return dst in self.reachable_edges(src, forward=True, banned=banned)
 
-    def dominators(self, src: int) -> Dict[int, int]:
-        """Immediate dominator of each edge reachable from `src`; src maps to itself.
+    def dominators(self, src: int) -> List[int]:
+        """Immediate dominator of each edge, -1 where `src` does not reach; src's is src.
 
         Edge d dominates e when every src-to-e path passes d; e's dominators
-        are its chain idom[e], idom[idom[e]], ... up to src.  One topological
-        pass gives each edge the nearest common dominator of its reachable
-        predecessors, walking their chains up by position (Cooper, Harvey &
-        Kennedy, 2001).  Memoized in `dominator_trees`, keyed by src.
+        are its chain idom[e], idom[idom[e]], ... up to src.  One pass in
+        index (topological) order gives each edge the nearest common
+        dominator of its reachable predecessors, walking their chains up
+        by index (Cooper, Harvey & Kennedy, 2001).  Memoized in
+        `dominator_trees`, keyed by src.
         """
-        if src in self.dominator_trees:
-            return self.dominator_trees[src]
-        pos, pred = self.topo_pos, self.pred
-        idom = {src: src}
-        for e in self.topo_order[pos[src] + 1:]:
-            d = None
+        idom = self.dominator_trees.get(src)
+        if idom is not None:
+            return idom
+        pred = self.pred
+        idom = [-1] * len(pred)
+        idom[src] = src
+        for e in range(src + 1, len(pred)):
+            d = -1
             for p in pred[e]:
-                if p in idom:
-                    while d is not None and d != p:
-                        if pos[d] > pos[p]:
-                            d = idom[d]
-                        else:
-                            p = idom[p]
+                if idom[p] >= 0:
+                    if d >= 0:
+                        while d != p:
+                            if d > p:
+                                d = idom[d]
+                            else:
+                                p = idom[p]
                     d = p
-            if d is not None:
-                idom[e] = d
+            idom[e] = d
         self.dominator_trees[src] = idom
         return idom
 
     def __repr__(self):
-        return (f"Scenario({len(self.nodes)} nodes, {len(self.topo_order)} edges, "
+        return (f"Scenario({len(self.nodes)} nodes, {len(self.ids)} edges, "
                 f"sessions {[s.index for s in self.sessions]})")
 
 
+def _digits(text: str, lineno: int, what: str) -> int:
+    """A number written in ASCII digits only (no sign, underscore or other script)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ScenarioParseError(
+            f"line {lineno}: {what} must be written in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond int's digit limit
+        raise ScenarioParseError(f"line {lineno}: {exc}") from exc
+
+
+def _edge_ids(texts: List[str], linenos: List[int]) -> List[int]:
+    """The edge ids from their texts, checked all at once.
+
+    Only when a check fails are the texts read one by one, to name the
+    first line at fault.
+    """
+    joined = "".join(texts)
+    if joined.isascii() and joined.isdigit():
+        with suppress(ValueError):  # beyond int's digit limit
+            ids = list(map(int, texts))
+            if len(set(ids)) == len(ids):
+                return ids
+    ids, seen = [], set()
+    for text, lineno in zip(texts, linenos):
+        eid = _digits(text, lineno, "edge id")
+        if eid in seen:
+            raise ScenarioParseError(f"line {lineno}: duplicate edge id {eid}")
+        seen.add(eid)
+        ids.append(eid)
+    return ids
+
+
 def parse_scenario(text: str) -> Scenario:
-    nodes, ids, tails, heads = [], [], [], []
+    """The scenario a text describes; the edge ids are checked after the other lines."""
+    nodes, id_texts, tails, heads, linenos = [], [], [], [], []
     sessions: List[Tuple[int, str, str]] = []
-    seen_ids: Set[int] = set()
     seen_sessions: Set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
@@ -264,22 +335,17 @@ def parse_scenario(text: str) -> Scenario:
         kind = parts[0]
         try:
             if kind == "edge":
-                eid_s, tail, head = parts[1:]
-                eid = int(eid_s)
-                if eid < 0:
-                    raise ScenarioParseError(f"line {lineno}: edge id must be >= 0")
-                if eid in seen_ids:
-                    raise ScenarioParseError(f"line {lineno}: duplicate edge id {eid}")
-                seen_ids.add(eid)
-                ids.append(eid)
+                _, eid_s, tail, head = parts
+                id_texts.append(eid_s)
                 tails.append(tail)
                 heads.append(head)
+                linenos.append(lineno)
             elif kind == "node":
                 (name,) = parts[1:]
                 nodes.append(name)
             elif kind == "session":
                 idx_s, sender, receiver = parts[1:]
-                idx = int(idx_s)
+                idx = _digits(idx_s, lineno, "session index")
                 if idx not in (1, 2, 3):
                     raise ScenarioParseError(f"line {lineno}: session index must be 1..3")
                 if idx in seen_sessions:
@@ -294,13 +360,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")
-    return Scenario.from_columns(nodes, ids, tails, heads, sessions)
+    return Scenario(nodes, _edge_ids(id_texts, linenos), tails, heads, sessions)
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form: edges by id, nodes no edge touches, sessions by index."""
     lines = [f"edge {e.id} {e.tail} {e.head}" for e in sc.edges]
-    lines += [f"node {v}" for v in sc.nodes if not sc.in_edges[v] and not sc.out_edges[v]]
+    lines += [f"node {v}" for v, ins, outs in zip(sc.nodes, sc.in_edges, sc.out_edges)
+              if not ins and not outs]
     lines += [f"session {s.index} {s.sender} {s.receiver}" for s in sc.sessions]
     return "\n".join(lines) + "\n"
 

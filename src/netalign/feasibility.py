@@ -85,7 +85,7 @@ def connectivity_map(sc: Scenario) -> Dict[SessionPair, bool]:
 
     It builds the three sender trees that `classify`'s bottleneck queries read.
     """
-    return {(j, i): sc.tau(i) in sc.dominators(sc.sigma(j))
+    return {(j, i): sc.dominators(sc.sigma(j))[sc.tau(i)] >= 0
             for j in (1, 2, 3) for i in (1, 2, 3)}
 
 

@@ -7,14 +7,15 @@ m(src, dst) is the resulting end-to-end gain; expanded, it is the sum over
 all directed paths from src to dst of the product of the coding coefficients
 along the path (a k-edge path contributes k-1 coefficients).
 
-`_sweep` runs that recurrence in topological order over the compiled
-`Scenario.program` ((pred position, pair index) per edge), carrying up to
+Edges are `Scenario` indices, which are topological positions.  `_sweep`
+runs that recurrence in index order over the compiled `Scenario.program`
+((pred, pair position) per edge), carrying up to
 three lanes in one pass: `session_transfer_matrix` gets all three sender
 gains from it, `transfer_values` and `propagate` one lane.  Every numeric
 transfer value in the package comes from it.  `oracle_transfer_poly`
 instead enumerates paths and returns m(src, dst) as an exact sparse
-polynomial over GF(2); it shares none of the recurrence and is the slow
-route the tests trust.  Monomials with equal variable sets cancel in
+polynomial over GF(2), its variables keyed by edge-id pairs; it shares none
+of the recurrence and is the slow route the tests trust.  Monomials with equal variable sets cancel in
 pairs, matching characteristic-2 arithmetic.  Over GF(2^m) with m <= 16
 the sweep's products are `exp` lookups on logs, each assignment's
 coefficients converted to logs once for all its sweeps; above that they
@@ -51,25 +52,26 @@ class ResampleLimitError(RuntimeError):
     """Too many consecutive degenerate draws; the field is likely too small."""
 
 
-Var = Tuple[int, int]  # coding coefficient x_{e e'}, keyed by the edge pair
+Var = Tuple[int, int]  # coding coefficient x_{e e'}, keyed by the edge-id pair
 Program = Sequence[Sequence[Tuple[int, int]]]  # see `Scenario.program`
 
 
 @dataclass
 class CodingAssignment:
-    """One value per adjacent edge pair, aligned with `Scenario.pairs` (`index`)."""
+    """One value per adjacent edge pair of `scenario`, in `Scenario.pairs` order."""
 
-    index: Dict[Var, int]
+    scenario: Scenario
     values: List[int]
     _form: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def random(cls, sc: Scenario, field: Field, rng) -> "CodingAssignment":
         """Uniform values, drawn in `sc.pairs` order."""
-        return cls(sc.pair_index, field.draw(rng, len(sc.pairs)))
+        return cls(sc, field.draw(rng, sc.pair_count))
 
     def __getitem__(self, pair: Var) -> int:
-        return self.values[self.index[pair]]
+        """The value of the coding variable of an edge-id pair."""
+        return self.values[self.scenario.pair_index[pair]]
 
     def operands(self, field: Field) -> List[int]:
         """The values as logs (lifted above 2^16), made once: edit no value after."""
@@ -84,14 +86,14 @@ def _sweep(sc: Scenario, x: CodingAssignment, field: Field,
            programs: Sequence[Program]) -> Tuple[List[int], List[int], List[int]]:
     """The recurrence of `transfer_values` in one or three lanes, one pass.
 
-    `inject` maps a topological position to its edge's values for the lanes;
-    lane l runs `programs[l]`.  Returns each lane's values by position as
+    `inject` maps an edge to its values for the lanes;
+    lane l runs `programs[l]`.  Returns each lane's values by edge as
     logs (zero as the sentinel; a product is one `exp` lookup), or above
     2^16 lifted (an edge's products are XORed, then settled once).
     """
     coeffs = x.operands(field)
     exp, log = field.exp, field.log
-    size = len(sc.topo_order)
+    size = len(sc.ids)
     three = len(programs) == 3
     prog1, prog2, prog3 = programs if three else (programs[0], None, None)
     injected = [(0, 0, 0)] * size
@@ -144,16 +146,15 @@ def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
                     sources: Dict[int, int]) -> Dict[int, int]:
     """Symbol on every edge when each edge in `sources` injects its value.
 
-    Single pass in topological order from the earliest source: every edge
+    Single pass in index order from the earliest source: every edge
     carries its injected value (zero for most) plus sum x_{e'e} value(e')
     over the edges e' into its tail.  With sources {src: 1} the values are
     the gains m(src, e).  Edges whose value is zero are omitted.  It runs
     one lane of `_sweep`.
     """
-    pos = sc.topo_pos
-    lane = _sweep(sc, x, field, {pos[eid]: (v, 0, 0) for eid, v in sources.items()},
+    lane = _sweep(sc, x, field, {e: (v, 0, 0) for e, v in sources.items()},
                   (sc.program,))[0]
-    return {eid: v for eid, v in zip(sc.topo_order, map(_plain(field), lane)) if v}
+    return {e: v for e, v in enumerate(map(_plain(field), lane)) if v}
 
 
 def propagate(sc: Scenario, x: CodingAssignment, field: Field,
@@ -164,36 +165,28 @@ def propagate(sc: Scenario, x: CodingAssignment, field: Field,
     topological order (lane 1 of `_sweep`) and returns the three tau values;
     it never reads a transfer function.
     """
-    senders, receivers = sc.session_positions
-    lane = _sweep(sc, x, field, {t: (u, 0, 0) for t, u in zip(senders, injected)},
+    lane = _sweep(sc, x, field, {t: (u, 0, 0) for t, u in zip(sc.senders, injected)},
                   (sc.program,))[0]
-    return tuple(map(_plain(field), [lane[t] for t in receivers]))
+    return tuple(map(_plain(field), [lane[t] for t in sc.receivers]))
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
     """All nine m_ji at one assignment: one pass, lane j on what sigma_j reaches."""
-    senders, receivers = sc.session_positions
-    lanes = _sweep(sc, x, field, dict(zip(senders, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+    lanes = _sweep(sc, x, field, dict(zip(sc.senders, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
                    sc.sender_programs)
-    values = map(_plain(field), [lane[t] for lane in lanes for t in receivers])
+    values = map(_plain(field), [lane[t] for lane in lanes for t in sc.receivers])
     return dict(zip(SESSION_PAIRS, values))
 
 
 def path_count(sc: Scenario, src: int, dst: int) -> int:
     """Number of directed edge paths from src to dst."""
-    if src == dst:
-        return 1
-    counts: Dict[int, int] = {src: 1}
-    lo, hi = sc.topo_pos[src], sc.topo_pos.get(dst, -1)
-    if lo > hi:
-        return 0
-    for eid in sc.topo_order[lo + 1:hi + 1]:
-        total = 0
-        for prev in sc.pred[eid]:
-            total += counts.get(prev, 0)
-        if total:
-            counts[eid] = total
-    return counts.get(dst, 0)
+    if src >= dst:
+        return int(src == dst)
+    counts = [0] * (dst + 1)
+    counts[src] = 1
+    for e in range(src + 1, dst + 1):
+        counts[e] = sum(map(counts.__getitem__, sc.pred[e]))
+    return counts[dst]
 
 
 # -- exact sparse polynomials over GF(2) -----------------------------------
@@ -289,22 +282,23 @@ def oracle_transfer_poly(sc: Scenario, src: int, dst: int,
     the point, it is the independent oracle the fast route is tested against.
     """
     if path_count(sc, src, dst) > limit:
-        raise TooLargeError(f"more than {limit} paths from edge {src} to {dst}")
+        raise TooLargeError(f"more than {limit} paths from edge {sc.ids[src]} to {sc.ids[dst]}")
     if src == dst:
         return SparsePoly.one()
     useful = sc.reachable_edges(src, forward=True) & sc.reachable_edges(dst, forward=False)
     if dst not in useful:
         return SparsePoly.zero()
+    ids = sc.ids
     monos: List[Monomial] = []
     stack: List[Tuple[int, Tuple[Var, ...]]] = [(src, ())]
     while stack:
-        eid, vars_so_far = stack.pop()
-        if eid == dst:
+        e, vars_so_far = stack.pop()
+        if e == dst:
             monos.append(tuple(sorted((v, 1) for v in vars_so_far)))
             continue
-        for nxt in sc.succ[eid]:
+        for nxt in sc.succ[e]:
             if nxt in useful:
-                stack.append((nxt, vars_so_far + ((eid, nxt),)))
+                stack.append((nxt, vars_so_far + ((ids[e], ids[nxt]),)))
     return SparsePoly(monos)
 
 
@@ -389,7 +383,7 @@ def identity_degree_bound(sc: Scenario, name: str) -> int:
     """Total-degree bound for either side of a coupling identity."""
     lhs, rhs = COUPLING_IDENTITIES[name]
     factors = max(len(prod) for prod in lhs + rhs)
-    return factors * len(sc.topo_order)
+    return factors * len(sc.ids)
 
 
 def evaluate_identity_sides(name: str, m: Dict[SessionPair, int], field: Field) -> Tuple[int, int]:

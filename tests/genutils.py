@@ -5,6 +5,10 @@ instances of the three-session model; the oracles recompute reachability,
 bottlenecks and cuts from first principles (fresh searches over the raw
 edge lists, per-edge removal, subset enumeration) so the library's
 algorithms can be checked against code that shares none of their machinery.
+The library names an edge by its index (its topological position) and the
+file by its id; `index_of` and `edge_ids` translate, and the oracles read
+the raw (id, tail, head) list through that translation, so they answer in
+indices too and "topologically last" is the largest index.
 The exception is two small readers, `transfer` and `evaluate_ratio`, which
 take single values off the library's own sweep for tests that need them.
 The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
@@ -18,16 +22,27 @@ from operator import xor
 
 from hypothesis import strategies as st
 
-from netalign.dag import Edge, Scenario, serialize_scenario
+from netalign.dag import Scenario, serialize_scenario
 from netalign.gf2m import Matrix
 from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix, transfer_values
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
 
 
-def make_scenario(edge_triples, sessions=DEFAULT_SESSIONS):
+def make_scenario(edge_triples, sessions=DEFAULT_SESSIONS, nodes=()):
     """Build a Scenario from (id, tail, head) triples."""
-    return Scenario((), [Edge(i, t, h) for (i, t, h) in edge_triples], sessions)
+    ids, tails, heads = map(list, zip(*edge_triples))
+    return Scenario(nodes, ids, tails, heads, sessions)
+
+
+def index_of(sc):
+    """The edge index of every edge id."""
+    return {eid: k for k, eid in enumerate(sc.ids)}
+
+
+def edge_ids(sc, edges):
+    """The ids of edge indices, in the same order."""
+    return [sc.ids[k] for k in edges]
 
 
 def random_scenario(rng):
@@ -150,7 +165,7 @@ def permute_sessions(sc, perm):
     """New scenario whose session i is the old session perm[i-1]."""
     old = [sc.sessions[p - 1] for p in perm]
     sessions = [(i, s.sender, s.receiver) for i, s in zip((1, 2, 3), old)]
-    return Scenario(sc.nodes, sc.edges, sessions)
+    return make_scenario([(e.id, e.tail, e.head) for e in sc.edges], sessions, sc.nodes)
 
 
 def layered_dag(rng, width=10, gaps=480, extra=394):
@@ -205,7 +220,7 @@ def column(matrix, j):
 def assignment(sc, default, overrides=None):
     """A CodingAssignment of `sc`: `default` on every pair but those in `overrides`."""
     overrides = overrides or {}
-    return CodingAssignment(sc.pair_index, [overrides.get(p, default) for p in sc.pairs])
+    return CodingAssignment(sc, [overrides.get(p, default) for p in sc.pairs])
 
 
 # -- receiver blocks as separate matrices: the reference layout ---------------
@@ -264,17 +279,21 @@ def evaluate_ratio(sc, x, field, spec):
 
 
 def edge_adjacency(sc):
+    """Successors of each edge index, from the raw edge list."""
+    at = index_of(sc)
     by_tail = {}
     for e in sc.edges:
-        by_tail.setdefault(e.tail, []).append(e.id)
-    return {e.id: sorted(by_tail.get(e.head, ())) for e in sc.edges}
+        by_tail.setdefault(e.tail, []).append(at[e.id])
+    return {at[e.id]: sorted(by_tail.get(e.head, ())) for e in sc.edges}
 
 
 def edge_adjacency_back(sc):
+    """Predecessors of each edge index, from the raw edge list."""
+    at = index_of(sc)
     by_head = {}
     for e in sc.edges:
-        by_head.setdefault(e.head, []).append(e.id)
-    return {e.id: sorted(by_head.get(e.tail, ())) for e in sc.edges}
+        by_head.setdefault(e.head, []).append(at[e.id])
+    return {at[e.id]: sorted(by_head.get(e.tail, ())) for e in sc.edges}
 
 
 def _bfs(adj, start, banned):
@@ -311,7 +330,7 @@ def closure_matrix(sc):
     other one is the breadth-first search above), so the two brute oracles
     can also be played against each other.
     """
-    ids = [e.id for e in sc.edges]
+    ids = range(len(sc.edges))
     adj = edge_adjacency(sc)
     reach = {a: {b: a == b for b in ids} for a in ids}
     for a in ids:
@@ -335,9 +354,8 @@ def brute_bottlenecks(sc, src, dst):
     """Definition check: edges whose removal disconnects src from dst."""
     if not brute_connects(sc, src, dst):
         return []
-    hits = [e.id for e in sc.edges
-            if not brute_connects(sc, src, dst, banned=(e.id,))]
-    return sorted(hits, key=sc.topo_pos.__getitem__)
+    return [e for e in range(len(sc.edges))
+            if not brute_connects(sc, src, dst, banned=(e,))]
 
 
 def brute_pair_cut(sc, sources, sinks):
@@ -354,8 +372,8 @@ def brute_pair_cut(sc, sources, sinks):
 
     if separated(()):
         return 0
-    for e in sc.edges:
-        if separated((e.id,)):
+    for e in range(len(sc.edges)):
+        if separated((e,)):
             return 1
     return 2
 
@@ -363,14 +381,14 @@ def brute_pair_cut(sc, sources, sinks):
 def brute_alpha(sc, i, j, k):
     common = (set(brute_bottlenecks(sc, sc.sigma(i), sc.tau(j)))
               & set(brute_bottlenecks(sc, sc.sigma(i), sc.tau(k))))
-    return max(common, key=sc.topo_pos.__getitem__)
+    return max(common)
 
 
 def brute_beta(sc, i, j, k):
     alpha = brute_alpha(sc, i, j, k)
     common = (set(brute_bottlenecks(sc, sc.sigma(j), sc.tau(k)))
               & set(brute_bottlenecks(sc, alpha, sc.tau(k))))
-    return min(common, key=sc.topo_pos.__getitem__)
+    return min(common)
 
 
 def brute_parallel(sc, e1, e2):
@@ -385,8 +403,7 @@ def parallel_cuts(sc, src, dst, max_size=3, cap=25):
     """
     if not brute_connects(sc, src, dst):
         return []
-    useful = sorted(brute_reach(sc, src) & brute_reach_back(sc, dst),
-                    key=sc.topo_pos.__getitem__)
+    useful = sorted(brute_reach(sc, src) & brute_reach_back(sc, dst))
     found = []
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(useful, size):

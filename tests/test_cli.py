@@ -185,6 +185,24 @@ def test_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("edge 1_0 S1 hub", "edge 1 S1 hub"),  # int() would read 10
+    ("edge \u0663 S1 hub", "edge 1 S1 hub"),  # Arabic-Indic three: not "duplicate id 3"
+    ("edge +1 S1 hub", "edge 1 S1 hub"),
+    ("edge -1 S1 hub", "edge 1 S1 hub"),
+    ("session +2 S2 D2", "session 2 S2 D2"),
+    ("session \uff12 S2 D2", "session 2 S2 D2"),  # fullwidth two
+])
+def test_numbers_must_be_ascii_digits(tmp_path, capsys, line, bad):
+    path = tmp_path / "bad.scn"
+    text = serialize_scenario(load_corpus("shared_bottleneck"))
+    path.write_text(text.replace(bad + "\n", line + "\n"), encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: line ")
+    assert "ASCII digits" in err and "duplicate" not in err
+
+
 def test_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "binary.scn"
     path.write_bytes(b"edge 1 a b\xff\n")

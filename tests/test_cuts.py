@@ -11,6 +11,8 @@ from genutils import (
     brute_bottlenecks,
     brute_pair_cut,
     brute_parallel,
+    edge_ids,
+    index_of,
     random_connected_scenario,
     random_scenario,
     scenarios,
@@ -31,38 +33,44 @@ from netalign.xfer import oracle_transfer_poly
 # -- bottleneck sets ------------------------------------------------------------
 
 
+def bottleneck_ids(sc, src, dst):
+    """bottleneck_set between two edge ids, its members as ids."""
+    at = index_of(sc)
+    return edge_ids(sc, bottleneck_set(sc, at[src], at[dst]).members)
+
+
 def test_bottlenecks_on_shared_bottleneck():
     sc = load_corpus("shared_bottleneck")
-    assert bottleneck_set(sc, 1, 5).members == [1, 4, 5]
-    assert bottleneck_set(sc, 2, 7).members == [2, 4, 7]
-    assert 4 in bottleneck_set(sc, 3, 6)
-    assert 1 not in bottleneck_set(sc, 2, 7)
+    at = index_of(sc)
+    assert bottleneck_ids(sc, 1, 5) == [1, 4, 5]
+    assert bottleneck_ids(sc, 2, 7) == [2, 4, 7]
+    assert at[4] in bottleneck_set(sc, at[3], at[6])
+    assert at[1] not in bottleneck_set(sc, at[2], at[7])
 
 
 def test_bottlenecks_edge_cases():
     sc = load_corpus("three_disjoint")
-    assert bottleneck_set(sc, 1, 2).members == [1, 2]
-    assert bottleneck_set(sc, 1, 4).members == []  # no path
-    assert bottleneck_set(sc, 3, 3).members == [3]
+    assert bottleneck_ids(sc, 1, 2) == [1, 2]
+    assert bottleneck_ids(sc, 1, 4) == []  # no path
+    assert bottleneck_ids(sc, 3, 3) == [3]
 
 
 def test_bottlenecks_match_removal_oracle():
     rng = random.Random(83)
     for _ in range(30):
         sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
-        ids = [e.id for e in sc.edges]
+        edges = range(len(sc.edges))
         taus = [sc.tau(i) for i in (1, 2, 3)]
         pairs = [(sc.sigma(j), tau) for j in (1, 2, 3) for tau in taus]
         # Every member of a sender's chain, queried as src, can be read off
         # the sender's tree by the segment rule.
         pairs += [(src, tau) for j in (1, 2, 3) for dst in taus
                   for src in bottleneck_set(sc, sc.sigma(j), dst).members for tau in taus]
-        pairs += [(rng.choice(ids), rng.choice(ids)) for _ in range(5)]
+        pairs += [(rng.choice(edges), rng.choice(edges)) for _ in range(5)]
         for src, dst in pairs:
             got = bottleneck_set(sc, src, dst).members
             assert got == brute_bottlenecks(sc, src, dst)
-            pos = [sc.topo_pos[e] for e in got]
-            assert pos == sorted(pos)
+            assert got == sorted(got)
 
 
 def test_bottlenecks_lie_on_every_path():
@@ -73,18 +81,20 @@ def test_bottlenecks_lie_on_every_path():
             for i in (1, 2, 3):
                 src, dst = sc.sigma(j), sc.tau(i)
                 members = set(bottleneck_set(sc, src, dst).members)
+                at = index_of(sc)
                 for mono in oracle_transfer_poly(sc, src, dst).monos:
-                    path_edges = {src} | {var[1] for var, _ in mono}
+                    path_edges = {src} | {at[var[1]] for var, _ in mono}
                     assert members <= path_edges
 
 
 def test_bottleneck_cache_returns_shared_instances():
     sc = load_corpus("two_corridor")
+    at = index_of(sc)
     cache = {}
-    first = bottleneck_set(sc, 2, 11, cache)
-    again = bottleneck_set(sc, 2, 11, cache)
+    first = bottleneck_set(sc, at[2], at[11], cache)
+    again = bottleneck_set(sc, at[2], at[11], cache)
     assert first is again
-    assert first.members == bottleneck_set(sc, 2, 11).members
+    assert first.members == bottleneck_set(sc, at[2], at[11]).members
 
 
 # -- alpha and beta edges --------------------------------------------------------
@@ -94,22 +104,21 @@ def test_alpha_beta_single_shared_edge():
     sc = load_corpus("shared_bottleneck")
     ab213 = alpha_beta(sc, 2, 1, 3)
     ab312 = alpha_beta(sc, 3, 1, 2)
-    assert (ab213.alpha, ab213.beta) == (4, 4)
-    assert (ab312.alpha, ab312.beta) == (4, 4)
+    assert edge_ids(sc, (ab213.alpha, ab213.beta)) == [4, 4]
+    assert edge_ids(sc, (ab312.alpha, ab312.beta)) == [4, 4]
 
 
 def test_alpha_beta_two_edge_corridor():
     sc = load_corpus("two_corridor")
     ab213 = alpha_beta(sc, 2, 1, 3)
     ab312 = alpha_beta(sc, 3, 1, 2)
-    assert (ab213.alpha, ab213.beta) == (4, 7)
-    assert (ab312.alpha, ab312.beta) == (4, 7)
+    assert edge_ids(sc, (ab213.alpha, ab213.beta)) == [4, 7]
+    assert edge_ids(sc, (ab312.alpha, ab312.beta)) == [4, 7]
 
 
 def test_alpha_edges_on_type_two_gadget():
     sc = load_corpus("type_two_gadget")
-    assert alpha_edge(sc, 2, 1, 3) == 8
-    assert alpha_edge(sc, 3, 1, 2) == 11
+    assert edge_ids(sc, [alpha_edge(sc, 2, 1, 3), alpha_edge(sc, 3, 1, 2)]) == [8, 11]
 
 
 def test_alpha_beta_match_brute_oracle():
@@ -133,7 +142,7 @@ def test_alpha_requires_connectivity():
     dead = load_corpus("m21_dead")
     with pytest.raises(DisconnectedError):
         alpha_edge(sc, 2, 1, 3)
-    assert alpha_edge(dead, 1, 2, 3) == 1
+    assert dead.ids[alpha_edge(dead, 1, 2, 3)] == 1
 
 
 # -- parallel predicate -----------------------------------------------------------
@@ -141,21 +150,21 @@ def test_alpha_requires_connectivity():
 
 def test_parallel_anchors():
     sc = load_corpus("type_two_gadget")
-    assert parallel(sc, 8, 11)
-    assert parallel(sc, 4, 5)
-    assert not parallel(sc, 8, 12)  # consecutive
-    assert not parallel(sc, 2, 13)  # sigma_2 eventually reaches v1 -> r3
+    at = index_of(sc)
+    assert parallel(sc, at[8], at[11])
+    assert parallel(sc, at[4], at[5])
+    assert not parallel(sc, at[8], at[12])  # consecutive
+    assert not parallel(sc, at[2], at[13])  # sigma_2 eventually reaches v1 -> r3
     with pytest.raises(ValueError):
-        parallel(sc, 8, 8)
+        parallel(sc, at[8], at[8])
 
 
 def test_parallel_matches_brute():
     rng = random.Random(101)
     for _ in range(15):
         sc = random_scenario(rng)
-        ids = [e.id for e in sc.edges]
         for _ in range(10):
-            a, b = rng.sample(ids, 2)
+            a, b = rng.sample(range(len(sc.edges)), 2)
             assert parallel(sc, a, b) == brute_parallel(sc, a, b)
 
 

@@ -12,10 +12,12 @@ from genutils import (
     closure_matrix,
     edge_adjacency,
     edge_adjacency_back,
+    edge_ids,
     make_scenario,
     random_connected_scenario,
     random_scenario,
     scenario_texts,
+    scenarios,
 )
 from netalign.dag import (
     Edge,
@@ -49,8 +51,10 @@ def test_parse_basic():
     assert len(sc.edges) == 8
     assert "lonely" in sc.nodes
     assert len(sc.nodes) == 9
-    assert [sc.sigma(i) for i in (1, 2, 3)] == [0, 1, 2]
-    assert [sc.tau(i) for i in (1, 2, 3)] == [3, 4, 5]
+    assert [s.sender_edge for s in sc.sessions] == [0, 1, 2]
+    assert [s.receiver_edge for s in sc.sessions] == [3, 4, 5]
+    assert edge_ids(sc, sc.senders) == [0, 1, 2]
+    assert edge_ids(sc, [sc.tau(i) for i in (1, 2, 3)]) == [3, 4, 5]
     assert Edge(10, "u", "v") in sc.edges
     s2 = sc.sessions[1]
     assert (s2.index, s2.sender, s2.receiver) == (2, "s2", "r2")
@@ -122,31 +126,44 @@ def test_sessions_must_be_exactly_1_2_3():
                       sessions=((1, "s1", "r1"), (1, "s2", "r2"), (3, "s3", "r3")))
 
 
-def _greedy_topo(sc):
-    # canonical order, re-derived the slow way: repeatedly place the
-    # smallest-id edge whose every predecessor is already placed
-    prevs = edge_adjacency_back(sc)
-    done = set()
-    order = []
-    remaining = {e.id for e in sc.edges}
-    while remaining:
-        ready = [eid for eid in remaining if all(p in done for p in prevs[eid])]
-        pick = min(ready)
-        order.append(pick)
-        done.add(pick)
-        remaining.remove(pick)
-    return order
+# `Scenario.ids` lists the edge ids in topological order: edge k is the k-th.
 
 
-def test_topological_order_is_canonical():
+def test_predecessors_come_earlier_in_the_order():
     rng = random.Random(23)
     for _ in range(40):
-        sc = random_scenario(rng)
-        assert sc.topo_order == _greedy_topo(sc)
-        assert sc.topo_pos == {eid: i for i, eid in enumerate(sc.topo_order)}
-        for eid in sc.topo_order:
-            for prev in sc.pred[eid]:
-                assert sc.topo_pos[prev] < sc.topo_pos[eid]
+        sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
+        assert sorted(sc.ids) == sorted(e.id for e in sc.edges)
+        position = {eid: k for k, eid in enumerate(sc.ids)}
+        for a in sc.edges:
+            for b in sc.edges:
+                if a.head == b.tail:  # a feeds b, read off the raw edge list
+                    assert position[a.id] < position[b.id]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenarios(), st.data())
+def test_order_ignores_line_order_and_comments(sc, data):
+    lines = list(data.draw(st.permutations(serialize_scenario(sc).splitlines())))
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "# note", "  # edge 1 a b"])))
+    assert parse_scenario("\n".join(lines)).ids == sc.ids
+
+
+def test_index_equals_position_in_the_order():
+    rng = random.Random(41)
+    for _ in range(40):
+        sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
+        adj, back = edge_adjacency(sc), edge_adjacency_back(sc)
+        for e in sc.edges:
+            k = sc.ids.index(e.id)  # its position in the order
+            assert (sc.nodes[sc.tails[k]], sc.nodes[sc.heads[k]]) == (e.tail, e.head)
+            assert sorted(sc.succ[k]) == adj[k] and sorted(sc.pred[k]) == back[k]
+            assert [p for p, _ in sc.program[k]] == sc.pred[k]
+        for s in sc.sessions:
+            assert sc.ids[sc.sigma(s.index)] == s.sender_edge
+            assert sc.ids[sc.tau(s.index)] == s.receiver_edge
 
 
 def test_serialize_round_trip():
@@ -156,7 +173,7 @@ def test_serialize_round_trip():
         text = serialize_scenario(sc)
         again = parse_scenario(text)
         assert serialize_scenario(again) == text
-        assert again.topo_order == sc.topo_order
+        assert again.ids == sc.ids
         assert [again.sigma(i) for i in (1, 2, 3)] == [sc.sigma(i) for i in (1, 2, 3)]
         assert [again.tau(i) for i in (1, 2, 3)] == [sc.tau(i) for i in (1, 2, 3)]
 
@@ -201,7 +218,7 @@ def test_serialization_ignores_declaration_order():
         rng.shuffle(lines)
         again = parse_scenario("\n".join(lines))
         assert serialize_scenario(again) == reference
-        assert again.topo_order == sc.topo_order
+        assert again.ids == sc.ids
         assert again.succ == sc.succ and again.pred == sc.pred
         assert again.pairs == sc.pairs
         assert again.sessions == sc.sessions
@@ -219,7 +236,7 @@ def test_reachability_against_two_brute_oracles():
     for _ in range(25):
         sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
         closure = closure_matrix(sc)
-        ids = [e.id for e in sc.edges]
+        ids = range(len(sc.edges))
         for start in ids:
             fwd = sc.reachable_edges(start)
             assert fwd == brute_reach(sc, start)
@@ -236,7 +253,7 @@ def test_reachability_with_banned_edges():
     rng = random.Random(37)
     for _ in range(25):
         sc = random_scenario(rng)
-        ids = [e.id for e in sc.edges]
+        ids = range(len(sc.edges))
         banned = tuple(rng.sample(ids, rng.randint(0, 3)))
         for start in ids:
             assert sc.reachable_edges(start, banned=banned) == brute_reach(sc, start, banned)
@@ -250,9 +267,9 @@ def test_adjacency_accessors():
         sc = random_scenario(rng)
         adj = edge_adjacency(sc)
         back = edge_adjacency_back(sc)
-        for e in sc.edges:
-            assert sorted(sc.succ[e.id]) == adj[e.id]
-            assert sorted(sc.pred[e.id]) == back[e.id]
+        for k in range(len(sc.edges)):
+            assert sorted(sc.succ[k]) == adj[k]
+            assert sorted(sc.pred[k]) == back[k]
         expected_pairs = {(a.id, b.id) for a in sc.edges for b in sc.edges
                           if a.head == b.tail}
         assert set(sc.pairs) == expected_pairs

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from genutils import (
     assignment,
     evaluate_ratio,
+    index_of,
     make_scenario,
     rand,
     random_connected_scenario,
@@ -72,9 +73,9 @@ def test_sparse_poly_square_coefficient():
 
 def test_sparse_poly_evaluate():
     f = field(4)
-    x, y = (0, 1), (1, 2)
+    x, y = (1, 4), (4, 5)  # two coding variables of shared_bottleneck
     p = SparsePoly([_mono((x, 1), (y, 1)), _mono((x, 2))])
-    a = CodingAssignment({x: 0, y: 1}, [3, 7])
+    a = assignment(load_corpus("shared_bottleneck"), 0, {x: 3, y: 7})
     assert p.evaluate(f, a) == f.mul(3, 7) ^ f.mul(3, 3)
     assert SparsePoly.one().evaluate(f, a) == 1
     assert SparsePoly.zero().evaluate(f, a) == 0
@@ -85,40 +86,44 @@ def test_sparse_poly_evaluate():
 
 def test_single_path_transfer():
     sc = load_corpus("shared_bottleneck")
-    poly = oracle_transfer_poly(sc, 1, 5)  # sigma_1 to tau_1 through the hub
+    at = index_of(sc)
+    poly = oracle_transfer_poly(sc, at[1], at[5])  # sigma_1 to tau_1 through the hub
     assert poly == SparsePoly([_mono(((1, 4), 1), ((4, 5), 1))])
     f = field(8)
     x = assignment(sc, 1, {(1, 4): 5, (4, 5): 6})
-    assert transfer(sc, x, f, 1, 5) == f.mul(5, 6)
+    assert transfer(sc, x, f, at[1], at[5]) == f.mul(5, 6)
     assert poly.evaluate(f, x) == f.mul(5, 6)
 
 
 def test_two_path_transfer():
     sc = load_corpus("eta_one_corridor")
-    poly = oracle_transfer_poly(sc, 1, 14)  # private route plus corridor
+    at = index_of(sc)
+    poly = oracle_transfer_poly(sc, at[1], at[14])  # private route plus corridor
     assert poly == SparsePoly([
         _mono(((1, 4), 1), ((4, 14), 1)),
         _mono(((1, 7), 1), ((7, 10), 1), ((10, 11), 1), ((11, 14), 1)),
     ])
-    assert path_count(sc, 1, 14) == 2
+    assert path_count(sc, at[1], at[14]) == 2
 
 
 def test_disconnected_and_reflexive_transfers():
     sc = load_corpus("three_disjoint")
-    assert oracle_transfer_poly(sc, 1, 4).is_zero()  # sigma_1 to tau_2
-    assert oracle_transfer_poly(sc, 1, 1) == SparsePoly.one()
+    at = index_of(sc)
+    assert oracle_transfer_poly(sc, at[1], at[4]).is_zero()  # sigma_1 to tau_2
+    assert oracle_transfer_poly(sc, at[1], at[1]) == SparsePoly.one()
     f = field(8)
     rng = random.Random(0)
     x = CodingAssignment.random(sc, f, rng)
-    assert transfer(sc, x, f, 1, 4) == 0
-    assert transfer(sc, x, f, 1, 1) == 1
-    assert transfer(sc, x, f, 4, 1) == 0  # against topological order
+    assert transfer(sc, x, f, at[1], at[4]) == 0
+    assert transfer(sc, x, f, at[1], at[1]) == 1
+    assert transfer(sc, x, f, at[4], at[1]) == 0  # against topological order
+    assert path_count(sc, at[4], at[1]) == 0
 
 
 def test_too_large_guard():
     sc = load_corpus("rich_type3")
     with pytest.raises(TooLargeError):
-        oracle_transfer_poly(sc, 1, 13, limit=0)
+        oracle_transfer_poly(sc, index_of(sc)[1], index_of(sc)[13], limit=0)
 
 
 # -- oracle equivalence properties ----------------------------------------------
@@ -159,7 +164,7 @@ def test_single_sweep_matches_oracle_and_superposes(sc, data):
     f = field(data.draw(st.sampled_from([1, 4, 16, 17, 32])))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     x = CodingAssignment.random(sc, f, rng)
-    ids = [e.id for e in sc.edges]
+    ids = range(len(sc.edges))
     src = data.draw(st.sampled_from(ids))
     gains = transfer_values(sc, x, f, {src: 1})
     for dst in ids:
@@ -232,7 +237,7 @@ def test_ratios_on_shared_bottleneck():
     f = field(16)
     rng = random.Random(61)
     for _ in range(20):
-        x = CodingAssignment(sc.pair_index, [rand_nonzero(f, rng) for _ in sc.pairs])
+        x = CodingAssignment(sc, [rand_nonzero(f, rng) for _ in sc.pairs])
         for spec in RATIOS.values():
             assert evaluate_ratio(sc, x, f, spec) == 1
 
