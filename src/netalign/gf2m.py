@@ -16,8 +16,8 @@ Larger fields lift elements (bit k to bit 8k of an int): one integer multiply
 then leaves the carry-less product in bit 0 of each byte, XOR still adds,
 and `Field.lifted` lets sums of many products be reduced once (settled)
 and gathered back (lowered).
-Inversion is exponentiation by 2^m - 2 (square-and-multiply), which is total
-on nonzero inputs and needs no extended-gcd bookkeeping.
+Inversion reads the tables up to 2^16; above, it is the extended Euclidean
+algorithm over GF(2)[x] on plain ints, a few dozen shift-and-xor steps.
 
 The module also provides dense matrices over a field with exact Gaussian
 elimination: rank and linear solving, which is all the alignment and
@@ -160,10 +160,21 @@ class Field:
         return lower(r)
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, computed as a^(2^m - 2)."""
+        """Multiplicative inverse: a^(2^m - 2) off the tables, else extended Euclid."""
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        if self.exp is not None:
+            return self.pow(a, self.order - 2)
+        # Over GF(2)[x], keeping g * a = u and h * a = v modulo poly while
+        # the larger of u, v loses its leading term; u reaches 1.
+        u, v, g, h = a, self.poly, 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g, h, shift = v, u, h, g, -shift
+            u ^= v << shift
+            g ^= h << shift
+        return g
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -197,6 +197,16 @@ def test_mul_pow_inv_match_reference_arithmetic(m):
             assert f.pow(a, -e) == f.inv(f.pow(a, e))
 
 
+@pytest.mark.parametrize("m", range(17, 33))
+def test_euclid_inverse_matches_power(m):
+    # above 2^16 inv runs extended Euclid, and a^(2^m - 2) is the inverse
+    f, p = Field(m), IRREDUCIBLE_POLY[m]
+    rng = random.Random(100 + m)
+    for a in [1, 2, 1 << (m - 1), f.order - 1] + [rng.randrange(1, f.order) for _ in range(300)]:
+        assert f.inv(a) == f.pow(a, f.order - 2) == _ref_pow(a, f.order - 2, p)
+        assert 0 < f.inv(a) < f.order
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_tables_match_reference_at_zero_and_sentinel_edges(m):
     # log[0] is the sentinel z; exp is x^i below z and zero from z to 2z, so
