@@ -28,10 +28,10 @@ it is a bottleneck of every connected (sender, receiver) pair: the cut is 0
 when no pair connects, 1 when the non-empty bottleneck sets of the four
 pairs share an edge, and 2 otherwise.
 
-`min_cut` is the general unit-capacity max-flow on the same index
-adjacency (edges split into an entry and exit vertex joined by a unit arc,
-augmenting paths by breadth-first search).  No classification runs it; it stays as a reference for cuts of
-any size.
+`min_cut` is the general unit-capacity max-flow on the same index adjacency
+(edges split into an entry and exit vertex joined by a unit arc, augmenting
+paths by breadth-first search).  No classification runs it; it stays as a
+reference for cuts of any size.
 """
 
 from __future__ import annotations
@@ -136,53 +136,45 @@ _INF = 1 << 30
 def min_cut(sc: Scenario, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Minimum number of edges whose removal separates sources from sinks.
 
-    Computed as max flow with unit edge capacities: each edge becomes an
-    entry vertex wired to an exit vertex by a unit arc, adjacency arcs are
-    uncapacitated, and a super source/sink feed the given edges.
+    Computed as max flow with unit edge capacities: edge e becomes an entry
+    vertex 2e wired to an exit vertex 2e + 1 by a unit arc, adjacency arcs
+    are uncapacitated, and a super source/sink feed the given edges.
     """
-    sources = list(sources)
-    sinks = list(sinks)
-    cap: Dict[object, Dict[object, int]] = {}
+    source, sink = 2 * len(sc.succ), 2 * len(sc.succ) + 1
+    cap: List[Dict[int, int]] = [{} for _ in range(sink + 1)]  # residual capacities
 
     def arc(u, v, c):
-        cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
+        cap[u][v] = cap[u].get(v, 0) + c
+        cap[v].setdefault(u, 0)
 
     for e, succ in enumerate(sc.succ):
-        arc(("i", e), ("o", e), 1)
+        arc(2 * e, 2 * e + 1, 1)
         for nxt in succ:
-            arc(("o", e), ("i", nxt), _INF)
+            arc(2 * e + 1, 2 * nxt, _INF)
     for s in sources:
-        arc("S", ("i", s), 1)
+        arc(source, 2 * s, 1)
     for t in sinks:
-        arc(("o", t), "T", 1)
-    if "S" not in cap or "T" not in cap:
-        return 0
-
+        arc(2 * t + 1, sink, 1)
     flow = 0
     while True:
-        parent: Dict[object, object] = {"S": "S"}
-        queue = deque(["S"])
-        while queue and "T" not in parent:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
             u = queue.popleft()
             for v, c in cap[u].items():
                 if c > 0 and v not in parent:
                     parent[v] = u
                     queue.append(v)
-        if "T" not in parent:
+        if sink not in parent:
             return flow
-        bottleneck = _INF
-        v = "T"
-        while v != "S":
-            u = parent[v]
-            bottleneck = min(bottleneck, cap[u][v])
-            v = u
-        v = "T"
-        while v != "S":
-            u = parent[v]
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        steps = list(zip(path[1:], path))  # (u, v) arcs, sink first
+        bottleneck = min(cap[u][v] for u, v in steps)
+        for u, v in steps:
             cap[u][v] -= bottleneck
             cap[v][u] += bottleneck
-            v = u
         flow += bottleneck
 
 

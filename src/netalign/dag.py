@@ -120,9 +120,10 @@ class Scenario:
         self.tails = list(map(tails.__getitem__, order))
         self.heads = list(map(heads.__getitem__, order))
         self.out_edges = [range(k, k + len(qs)) for k, qs in zip(first, outs)]
-        self.in_edges: List[List[int]] = [[] for _ in self.nodes]
+        ins: List[List[int]] = [[] for _ in self.nodes]
         for q in by_id:
-            self.in_edges[heads[q]].append(index[q])
+            ins[heads[q]].append(index[q])
+        self.in_edges = ins
         self.succ = list(map(self.out_edges.__getitem__, self.heads))
         self.pred = list(map(self.in_edges.__getitem__, self.tails))
 
@@ -146,16 +147,15 @@ class Scenario:
             for v, role in ((sender, "sender"), (receiver, "receiver")):
                 if v not in number:
                     raise ModelViolationError(f"{role} node {v!r} not in graph")
-            outs, ins = self.out_edges[number[sender]], self.in_edges[number[sender]]
-            if len(outs) != 1 or ins:
+            s, r = number[sender], number[receiver]
+            if len(self.out_edges[s]) != 1 or self.in_edges[s]:
                 raise ModelViolationError(
                     f"sender {sender!r} must have exactly one outgoing and no incoming edge")
-            senders.append(outs[0])
-            outs, ins = self.out_edges[number[receiver]], self.in_edges[number[receiver]]
-            if len(ins) != 1 or outs:
+            if len(self.in_edges[r]) != 1 or self.out_edges[r]:
                 raise ModelViolationError(
                     f"receiver {receiver!r} must have exactly one incoming and no outgoing edge")
-            receivers.append(ins[0])
+            senders.append(self.out_edges[s][0])
+            receivers.append(self.in_edges[r][0])
             pinned.append(Session(index, sender, receiver,
                                   self.ids[senders[-1]], self.ids[receivers[-1]]))
         if len({*senders, *receivers}) != 6:
@@ -211,12 +211,9 @@ class Scenario:
     @cached_property
     def sender_programs(self):
         """`program` once per sender edge, on the edges it reaches (its dominator tree)."""
-        programs = []
-        for src in self.senders:
-            idom = self.dominators(src)
-            programs.append([tuple((p, k) for p, k in row if idom[p] >= 0) if idom[e] >= 0 else ()
-                             for e, row in enumerate(self.program)])
-        return tuple(programs)
+        return tuple([tuple((p, k) for p, k in row if idom[p] >= 0) if idom[e] >= 0 else ()
+                      for e, row in enumerate(self.program)]
+                     for idom in map(self.dominators, self.senders))
 
     def reachable_edges(self, start: int, forward: bool = True,
                         banned: Iterable[int] = ()) -> FrozenSet[int]:
@@ -227,28 +224,21 @@ class Scenario:
         empty.  Without banned edges the sweep runs once per (start,
         direction) and later queries share its frozen result.
         """
-        banned = set(banned)
-        if banned:
-            return self._sweep(start, forward, banned)
-        key = (start, forward)
-        hit = self._reach.get(key)
-        if hit is None:
-            hit = self._reach[key] = self._sweep(start, forward, banned)
-        return hit
-
-    def _sweep(self, start: int, forward: bool, banned: Set[int]) -> FrozenSet[int]:
+        banned = frozenset(banned)
+        if not banned and (start, forward) in self._reach:
+            return self._reach[start, forward]
         if start in banned:
             return frozenset()
-        seen = {start}
-        stack = [start]
-        step = self.succ if forward else self.pred
+        seen, stack, step = {start, *banned}, [start], self.succ if forward else self.pred
         while stack:
-            e = stack.pop()
-            for nxt in step[e]:
-                if nxt not in seen and nxt not in banned:
+            for nxt in step[stack.pop()]:
+                if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return frozenset(seen)
+        if banned:
+            return frozenset(seen - banned)
+        hit = self._reach[start, forward] = frozenset(seen)
+        return hit
 
     def connects(self, src: int, dst: int, banned: Iterable[int] = ()) -> bool:
         """True when a directed path of edges leads from src to dst."""
@@ -302,24 +292,18 @@ def _digits(text: str, lineno: int, what: str) -> int:
 
 
 def _edge_ids(texts: List[str], linenos: List[int]) -> List[int]:
-    """The edge ids from their texts, checked all at once.
-
-    Only when a check fails are the texts read one by one, to name the
-    first line at fault.
-    """
+    """The edge ids from their texts, checked in bulk; a failed check names its line."""
     joined = "".join(texts)
-    if joined.isascii() and joined.isdigit():
-        with suppress(ValueError):  # beyond int's digit limit
-            ids = list(map(int, texts))
-            if len(set(ids)) == len(ids):
-                return ids
+    with suppress(ValueError):  # beyond int's digit limit
+        ids = list(map(int, texts)) if joined.isascii() and joined.isdigit() else None
+        if ids is not None and len(set(ids)) == len(ids):
+            return ids
     ids, seen = [], set()
     for text, lineno in zip(texts, linenos):
-        eid = _digits(text, lineno, "edge id")
-        if eid in seen:
-            raise ScenarioParseError(f"line {lineno}: duplicate edge id {eid}")
-        seen.add(eid)
-        ids.append(eid)
+        ids.append(_digits(text, lineno, "edge id"))
+        if ids[-1] in seen:
+            raise ScenarioParseError(f"line {lineno}: duplicate edge id {ids[-1]}")
+        seen.add(ids[-1])
     return ids
 
 

@@ -9,17 +9,17 @@ along the path (a k-edge path contributes k-1 coefficients).
 
 Edges are `Scenario` indices, which are topological positions.  `_sweep`
 runs that recurrence in index order over the compiled `Scenario.program`
-((pred, pair position) per edge), carrying up to
-three lanes in one pass: `session_transfer_matrix` gets all three sender
-gains from it, `transfer_values` and `propagate` one lane.  Every numeric
-transfer value in the package comes from it.  `oracle_transfer_poly`
-instead enumerates paths and returns m(src, dst) as an exact sparse
-polynomial over GF(2), its variables keyed by edge-id pairs; it shares none
-of the recurrence and is the slow route the tests trust.  Monomials with equal variable sets cancel in
-pairs, matching characteristic-2 arithmetic.  Over GF(2^m) with m <= 16
+((pred, pair position) per edge), carrying up to three lanes in one pass:
+`session_transfer_matrix` gets all three sender gains from it,
+`transfer_values` and `propagate` one lane.  Every numeric transfer value
+in the package comes from it.  `oracle_transfer_poly` instead enumerates
+paths and returns m(src, dst) as an exact sparse polynomial over GF(2), its
+variables keyed by edge-id pairs; it shares none of the recurrence and is
+the slow route the tests trust.  Monomials with equal variable sets cancel
+in pairs, matching characteristic-2 arithmetic.  Over GF(2^m) with m <= 16
 the sweep's products are `exp` lookups on logs, each assignment's
-coefficients converted to logs once for all its sweeps; above that they
-are lifted products, settled once per edge (see `gf2m`).
+coefficients converted to logs once for all its sweeps; above that they are
+lifted products, settled once per edge (see `gf2m`).
 
 The nine session-to-session transfer functions m_ji (sender edge of session
 j to receiver edge of session i) combine into diagnostic ratios
