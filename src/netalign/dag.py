@@ -74,10 +74,9 @@ class Scenario:
                  heads: Sequence[str], sessions: Sequence[Tuple[int, str, str]]):
         """The scenario whose edge with id ids[q] runs from tails[q] to heads[q]."""
         count = len(ids)
-        line = dict(zip(ids, range(count)))
-        if len(line) != count:
+        if len(set(ids)) != count:
             raise ModelViolationError("duplicate edge ids")
-        by_id = list(map(line.__getitem__, sorted(line)))  # q in id order
+        by_id = sorted(range(count), key=ids.__getitem__)  # q in id order
         self.nodes = sorted({*nodes, *tails, *heads})
         number = dict(zip(self.nodes, range(len(self.nodes))))
         tails = list(map(number.__getitem__, tails))
@@ -291,25 +290,31 @@ def _digits(text: str, lineno: int, what: str) -> int:
         raise ScenarioParseError(f"line {lineno}: {exc}") from exc
 
 
-def _edge_ids(texts: List[str], linenos: List[int]) -> List[int]:
-    """The edge ids from their texts, checked in bulk; a failed check names its line."""
+def _edge_ids(texts: List[str], text: str) -> List[int]:
+    """The edge ids from their texts, checked in bulk.
+
+    Only when a check fails are the lines of `text` read again, to name the
+    first one at fault.
+    """
     joined = "".join(texts)
     with suppress(ValueError):  # beyond int's digit limit
         ids = list(map(int, texts)) if joined.isascii() and joined.isdigit() else None
         if ids is not None and len(set(ids)) == len(ids):
             return ids
     ids, seen = [], set()
-    for text, lineno in zip(texts, linenos):
-        ids.append(_digits(text, lineno, "edge id"))
-        if ids[-1] in seen:
-            raise ScenarioParseError(f"line {lineno}: duplicate edge id {ids[-1]}")
-        seen.add(ids[-1])
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.partition("#")[0].split()
+        if parts[:1] == ["edge"]:
+            ids.append(_digits(parts[1], lineno, "edge id"))
+            if ids[-1] in seen:
+                raise ScenarioParseError(f"line {lineno}: duplicate edge id {ids[-1]}")
+            seen.add(ids[-1])
     return ids
 
 
 def parse_scenario(text: str) -> Scenario:
     """The scenario a text describes; the edge ids are checked after the other lines."""
-    nodes, id_texts, tails, heads, linenos = [], [], [], [], []
+    nodes, id_texts, tails, heads = [], [], [], []
     sessions: List[Tuple[int, str, str]] = []
     seen_sessions: Set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -323,7 +328,6 @@ def parse_scenario(text: str) -> Scenario:
                 id_texts.append(eid_s)
                 tails.append(tail)
                 heads.append(head)
-                linenos.append(lineno)
             elif kind == "node":
                 (name,) = parts[1:]
                 nodes.append(name)
@@ -344,7 +348,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")
-    return Scenario(nodes, _edge_ids(id_texts, linenos), tails, heads, sessions)
+    return Scenario(nodes, _edge_ids(id_texts, text), tails, heads, sessions)
 
 
 def serialize_scenario(sc: Scenario) -> str:
