@@ -5,18 +5,17 @@ and "last" below are `min` and `max`.  A bottleneck between edges src and
 dst is an edge whose removal disconnects every directed path from src to
 dst (src and dst themselves always qualify when a path exists): an edge
 that dominates dst from src, so the set is dst's chain in src's dominator
-tree (`Scenario.dominators`, an `idom` list).  Segment rule:
-when src lies on dst's chain in a tree already built, the set is the chain
-from src on, since every path from that tree's root to dst passes src.
-Alpha dominates both its receivers from its sender, so every query
-`classify` makes reads a sender's tree: one topological pass per sender.
+tree (`Scenario.dominators`, an `idom` list).  Every query `classify`
+makes starts at a sender edge, so it builds one tree per sender.
 
 Two derived edges drive the coupling checks for sessions (i, j, k):
 
 * alpha(i, j, k): the topologically last bottleneck shared by the paths
   from sender edge sigma_i to both receiver edges tau_j and tau_k.
 * beta(i, j, k): the topologically first bottleneck shared by sigma_j-to-
-  tau_k paths and alpha-to-tau_k paths.
+  tau_k paths and alpha-to-tau_k paths.  Every path from alpha to tau_k
+  continues one from sigma_i, so alpha's bottlenecks toward tau_k are
+  sigma_i's chain toward tau_k from alpha on.
 
 Both lie on one dominator chain, whose members are totally ordered by
 reachability, so any topological numbering picks the same two edges.
@@ -25,8 +24,8 @@ reachability, so any topological numbering picks the same two edges.
 flow computation.  Each sender edge carries one unit, so the cut is 0, 1 or
 2, and a single edge separates the senders from the receivers exactly when
 it is a bottleneck of every connected (sender, receiver) pair: the cut is 0
-when no pair connects, 1 when the non-empty bottleneck sets of the four
-pairs share an edge, and 2 otherwise.
+when no pair connects, 1 when the bottleneck chains of the connected pairs
+share an edge, and 2 otherwise.
 
 `min_cut` is the general unit-capacity max-flow on the same index adjacency
 (edges split into an entry and exit vertex joined by a unit arc, augmenting
@@ -57,77 +56,49 @@ class BottleneckSet:
         return eid in self.members
 
 
-@dataclass
-class AlphaBeta:
-    i: int
-    j: int
-    k: int
-    alpha: int
-    beta: int
+def bottleneck_set(sc: Scenario, src: int, dst: int) -> BottleneckSet:
+    """All single-edge bottlenecks between src and dst, topologically sorted:
+    dst's chain in src's dominator tree, empty when src does not reach dst."""
+    idom = sc.dominators(src)
+    if idom[dst] < 0:
+        return BottleneckSet(src, dst, [])
+    chain = [dst]
+    while chain[-1] != src:
+        chain.append(idom[chain[-1]])
+    return BottleneckSet(src, dst, chain[::-1])
 
 
-def bottleneck_set(sc: Scenario, src: int, dst: int,
-                   cache: dict | None = None) -> BottleneckSet:
-    """All single-edge bottlenecks between src and dst, topologically sorted.
-
-    dst's dominator chain from src on, read off the first tree already built
-    in which src lies on that chain, else off src's own tree, built last.
-    """
-    if cache is not None:
-        hit = cache.get((src, dst))
-        if hit is not None:
-            return hit
-        result = bottleneck_set(sc, src, dst)
-        cache[(src, dst)] = result
-        return result
-    for idom in [*sc.dominator_trees.values(), None]:
-        idom = idom or sc.dominators(src)
-        if idom[src] >= 0 and idom[dst] >= 0:
-            chain = [dst]
-            while chain[-1] > src:
-                chain.append(idom[chain[-1]])
-            if chain[-1] == src:
-                return BottleneckSet(src, dst, chain[::-1])
-    return BottleneckSet(src, dst, [])
-
-
-def _require_path(sc: Scenario, src: int, dst: int) -> None:
-    if sc.dominators(src)[dst] < 0:
+def _chain(sc: Scenario, src: int, dst: int) -> List[int]:
+    """The members of `bottleneck_set`, which a coupling query needs non-empty."""
+    members = bottleneck_set(sc, src, dst).members
+    if not members:
         raise DisconnectedError(f"no path from edge {sc.ids[src]} to edge {sc.ids[dst]}")
+    return members
 
 
-def alpha_beta(sc: Scenario, i: int, j: int, k: int,
-               cache: dict | None = None) -> AlphaBeta:
-    """The shared-bottleneck meeting edges for the session triple (i, j, k)."""
-    alpha = alpha_edge(sc, i, j, k, cache)
-    _require_path(sc, sc.sigma(j), sc.tau(k))
-    c_jk = bottleneck_set(sc, sc.sigma(j), sc.tau(k), cache)
-    c_ak = bottleneck_set(sc, alpha, sc.tau(k), cache)
-    meet = set(c_jk.members) & set(c_ak.members)
-    if not meet:
-        raise DisconnectedError(
-            f"no common bottleneck toward receiver {k} for sessions ({i},{j},{k})")
-    beta = min(meet)
-    return AlphaBeta(i, j, k, alpha, beta)
+def alpha_beta(sc: Scenario, i: int, j: int, k: int) -> Tuple[int, int]:
+    """The shared-bottleneck meeting edges (alpha, beta) for the triple (i, j, k)."""
+    alpha = alpha_edge(sc, i, j, k)
+    c_ik = bottleneck_set(sc, sc.sigma(i), sc.tau(k)).members
+    c_jk = _chain(sc, sc.sigma(j), sc.tau(k))
+    # tau_k ends both chains, so the meet cannot be empty.
+    return alpha, min(set(c_jk).intersection(c_ik[c_ik.index(alpha):]))
 
 
-def alpha_edge(sc: Scenario, i: int, j: int, k: int,
-               cache: dict | None = None) -> int:
+def alpha_edge(sc: Scenario, i: int, j: int, k: int) -> int:
     """Topologically last common bottleneck from sigma_i to tau_j and tau_k."""
-    _require_path(sc, sc.sigma(i), sc.tau(j))
-    _require_path(sc, sc.sigma(i), sc.tau(k))
-    c_ij = bottleneck_set(sc, sc.sigma(i), sc.tau(j), cache)
-    c_ik = bottleneck_set(sc, sc.sigma(i), sc.tau(k), cache)
-    common = set(c_ij.members) & set(c_ik.members)
-    # sigma_i belongs to both sets, so the intersection cannot be empty.
-    return max(common)
+    c_ij = _chain(sc, sc.sigma(i), sc.tau(j))
+    c_ik = _chain(sc, sc.sigma(i), sc.tau(k))
+    # sigma_i begins both chains, so the intersection cannot be empty.
+    return max(set(c_ij).intersection(c_ik))
 
 
 def parallel(sc: Scenario, e1: int, e2: int) -> bool:
     """True when neither edge can reach the other."""
     if e1 == e2:
         raise ValueError("parallelism is defined for distinct edges")
-    return not sc.connects(e1, e2) and not sc.connects(e2, e1)
+    # Indices are topological, so only the lower edge can reach the higher.
+    return not sc.connects(min(e1, e2), max(e1, e2))
 
 
 _INF = 1 << 30
@@ -179,16 +150,16 @@ def min_cut(sc: Scenario, sources: Iterable[int], sinks: Iterable[int]) -> int:
 
 
 def cut_by_pair(sc: Scenario, sessions_src: Tuple[int, int],
-                sessions_dst: Tuple[int, int], cache: dict | None = None) -> int:
+                sessions_dst: Tuple[int, int]) -> int:
     """Fewest edges separating two sessions' sender edges from two receiver edges.
 
-    0, 1 or 2, read off the bottleneck sets of the four (sender, receiver)
-    pairs; `cache` is shared with `bottleneck_set`.
+    0, 1 or 2, read off the bottleneck chains of the four (sender, receiver)
+    pairs in the two senders' dominator trees.
     """
     common = None
     for j in sessions_src:
         for i in sessions_dst:
-            members = bottleneck_set(sc, sc.sigma(j), sc.tau(i), cache).members
+            members = bottleneck_set(sc, sc.sigma(j), sc.tau(i)).members
             if members:
                 common = set(members) if common is None else common.intersection(members)
     if common is None:

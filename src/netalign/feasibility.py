@@ -89,11 +89,9 @@ def connectivity_map(sc: Scenario) -> Dict[SessionPair, bool]:
             for j in (1, 2, 3) for i in (1, 2, 3)}
 
 
-def check_eta_one(sc: Scenario, cache: dict | None = None) -> bool:
+def check_eta_one(sc: Scenario) -> bool:
     """Graph test for eta identically 1 (needs full cross connectivity)."""
-    ab213 = alpha_beta(sc, 2, 1, 3, cache)
-    ab312 = alpha_beta(sc, 3, 1, 2, cache)
-    return ab213.alpha == ab312.alpha and ab213.beta == ab312.beta
+    return alpha_beta(sc, 2, 1, 3) == alpha_beta(sc, 3, 1, 2)
 
 
 # Relation -> (senders, receivers) of the two-pair cut that is a single
@@ -108,7 +106,7 @@ PAIR_CUT_RELATIONS: Dict[str, Tuple[SessionPair, SessionPair]] = {
 }
 
 
-def check_third_relation(sc: Scenario, i: int, cache: dict | None = None) -> bool:
+def check_third_relation(sc: Scenario, i: int) -> bool:
     """Graph test for session i's third coupling relation.
 
     For i cyclically followed by j and k, the four conditions: the last
@@ -119,13 +117,13 @@ def check_third_relation(sc: Scenario, i: int, cache: dict | None = None) -> boo
     """
     j = i % 3 + 1
     k = j % 3 + 1
-    a_kij = alpha_edge(sc, k, i, j, cache)
-    a_jik = alpha_edge(sc, j, i, k, cache)
+    a_kij = alpha_edge(sc, k, i, j)
+    a_jik = alpha_edge(sc, j, i, k)
     if a_kij == a_jik:
         return False
-    if a_kij not in bottleneck_set(sc, sc.sigma(i), sc.tau(j), cache):
+    if a_kij not in bottleneck_set(sc, sc.sigma(i), sc.tau(j)):
         return False
-    if a_jik not in bottleneck_set(sc, sc.sigma(i), sc.tau(k), cache):
+    if a_jik not in bottleneck_set(sc, sc.sigma(i), sc.tau(k)):
         return False
     if not parallel(sc, a_kij, a_jik):
         return False
@@ -136,20 +134,16 @@ RATE_BY_KIND = {"I": Fraction(1, 3), "II": Fraction(2, 5), "III": Fraction(1, 2)
 
 
 def classify(sc: Scenario) -> Tuple[CouplingReport, NetworkType]:
-    """Full taxonomy decision, by deterministic graph checks alone.
-
-    All checks share one cache of bottleneck sets.
-    """
+    """Full taxonomy decision, by graph checks on the three sender dominator trees."""
     conn = connectivity_map(sc)
-    cache: dict = {}
     if not all(conn.values()):
-        return CouplingReport(conn, None), _classify_reduced(sc, conn, cache)
+        return CouplingReport(conn, None), _classify_reduced(sc, conn)
 
-    flags = {"eta_is_one": check_eta_one(sc, cache)}
+    flags = {"eta_is_one": check_eta_one(sc)}
     for name, (senders, receivers) in PAIR_CUT_RELATIONS.items():
-        flags[name] = cut_by_pair(sc, senders, receivers, cache) == 1
+        flags[name] = cut_by_pair(sc, senders, receivers) == 1
     for i in (1, 2, 3):
-        flags[f"third_relation_{i}"] = check_third_relation(sc, i, cache)
+        flags[f"third_relation_{i}"] = check_third_relation(sc, i)
 
     if any(flags[name] for name in PAIR_CUT_RELATIONS):
         kind = "I"
@@ -329,8 +323,7 @@ def cross_ratio(num: Tuple[SessionPair, ...], den: Tuple[SessionPair, ...]
     raise RuntimeError(f"decode ratio {num} / {den} is not a 2x2 cross ratio")
 
 
-def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool],
-                      cache: dict) -> NetworkType:
+def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool]) -> NetworkType:
     dead = False
     feasible = True
     for _, kind, payload in reduced_receiver_conditions(reduced_structure(conn)):
@@ -341,7 +334,7 @@ def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool],
             # is a ratio of non-zero polynomials with GF(2) coefficients:
             # constant only when identically 1, i.e. when the pair cut is 1.
             abcd = cross_ratio(*payload)
-            if abcd is None or cut_by_pair(sc, abcd[:2], abcd[2:], cache) < 2:
+            if abcd is None or cut_by_pair(sc, abcd[:2], abcd[2:]) < 2:
                 feasible = False
     if dead:
         # A session with no path cannot carry anything, so no positive

@@ -185,7 +185,9 @@ class Field:
             exp, log = self.exp, self.log
             return [exp[lg + log[v]] for lg, block in zip(map(log.__getitem__, gains), blocks)
                     for v in block]
-        return [self.mul(g, v) for g, block in zip(gains, blocks) for v in block]
+        lift, settle, lower = self.lifted
+        return [lower(settle(lg * lift(v))) for lg, block in zip(map(lift, gains), blocks)
+                for v in block]
 
     def draw(self, rng, count: int) -> List[int]:
         """`count` uniform elements, the values of as many rng.randrange(2^m).

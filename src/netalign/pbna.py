@@ -168,7 +168,8 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     `chain` is `plan_chain(sc, plan)`, built here when not given.  A slot
     whose draw zeroes any transfer function appearing in a profile
     denominator is redrawn in full; RESAMPLE_LIMIT consecutive bad draws
-    raise ResampleLimitError (tiny field or degenerate topology).
+    raise ResampleLimitError (tiny field or degenerate topology), naming how
+    often each denominator was zero in them.
     """
     if chain is None:
         chain = plan_chain(sc, plan)
@@ -179,19 +180,21 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
     assignments: List[CodingAssignment] = []
     slots: List[Dict[SessionPair, int]] = []
-    misses = 0
+    misses: List[Dict[SessionPair, int]] = []  # the bad draws since the last kept slot
     resamples = 0
     while len(assignments) < plan.N:
         x = CodingAssignment.random(sc, field, rng)
         m = session_transfer_matrix(sc, x, field)
         if not all(map(m.__getitem__, den_pairs)):
-            misses += 1
+            misses.append(m)
             resamples += 1
-            if misses >= RESAMPLE_LIMIT:
+            if len(misses) >= RESAMPLE_LIMIT:
+                named = ", ".join(f"m{j}{i} zero in {n}" for j, i in sorted(den_pairs)
+                                  if (n := sum(not bad[j, i] for bad in misses)))
                 raise ResampleLimitError(
-                    f"{RESAMPLE_LIMIT} consecutive slot draws had a zero denominator")
+                    f"{RESAMPLE_LIMIT} consecutive slot draws had a zero denominator: {named}")
             continue
-        misses = 0
+        misses = []
         assignments.append(x)
         slots.append(m)
 

@@ -1,5 +1,6 @@
 """Bottleneck sets, alpha/beta edges, parallelism and small min-cuts."""
 
+import itertools
 import random
 
 import pytest
@@ -9,15 +10,17 @@ from genutils import (
     brute_alpha,
     brute_beta,
     brute_bottlenecks,
+    brute_connects,
     brute_pair_cut,
     brute_parallel,
     edge_ids,
     index_of,
+    permute_sessions,
     random_connected_scenario,
     random_scenario,
     scenarios,
 )
-from netalign import load_corpus
+from netalign import corpus_names, load_corpus
 from netalign.cuts import (
     DisconnectedError,
     alpha_beta,
@@ -62,8 +65,8 @@ def test_bottlenecks_match_removal_oracle():
         edges = range(len(sc.edges))
         taus = [sc.tau(i) for i in (1, 2, 3)]
         pairs = [(sc.sigma(j), tau) for j in (1, 2, 3) for tau in taus]
-        # Every member of a sender's chain, queried as src, can be read off
-        # the sender's tree by the segment rule.
+        # Every member of a sender's chain, queried as src, reads its own
+        # tree: the suffix that `alpha_beta` takes off the sender's chain.
         pairs += [(src, tau) for j in (1, 2, 3) for dst in taus
                   for src in bottleneck_set(sc, sc.sigma(j), dst).members for tau in taus]
         pairs += [(rng.choice(edges), rng.choice(edges)) for _ in range(5)]
@@ -87,33 +90,19 @@ def test_bottlenecks_lie_on_every_path():
                     assert members <= path_edges
 
 
-def test_bottleneck_cache_returns_shared_instances():
-    sc = load_corpus("two_corridor")
-    at = index_of(sc)
-    cache = {}
-    first = bottleneck_set(sc, at[2], at[11], cache)
-    again = bottleneck_set(sc, at[2], at[11], cache)
-    assert first is again
-    assert first.members == bottleneck_set(sc, at[2], at[11]).members
-
-
 # -- alpha and beta edges --------------------------------------------------------
 
 
 def test_alpha_beta_single_shared_edge():
     sc = load_corpus("shared_bottleneck")
-    ab213 = alpha_beta(sc, 2, 1, 3)
-    ab312 = alpha_beta(sc, 3, 1, 2)
-    assert edge_ids(sc, (ab213.alpha, ab213.beta)) == [4, 4]
-    assert edge_ids(sc, (ab312.alpha, ab312.beta)) == [4, 4]
+    assert edge_ids(sc, alpha_beta(sc, 2, 1, 3)) == [4, 4]
+    assert edge_ids(sc, alpha_beta(sc, 3, 1, 2)) == [4, 4]
 
 
 def test_alpha_beta_two_edge_corridor():
     sc = load_corpus("two_corridor")
-    ab213 = alpha_beta(sc, 2, 1, 3)
-    ab312 = alpha_beta(sc, 3, 1, 2)
-    assert edge_ids(sc, (ab213.alpha, ab213.beta)) == [4, 7]
-    assert edge_ids(sc, (ab312.alpha, ab312.beta)) == [4, 7]
+    assert edge_ids(sc, alpha_beta(sc, 2, 1, 3)) == [4, 7]
+    assert edge_ids(sc, alpha_beta(sc, 3, 1, 2)) == [4, 7]
 
 
 def test_alpha_edges_on_type_two_gadget():
@@ -122,15 +111,21 @@ def test_alpha_edges_on_type_two_gadget():
 
 
 def test_alpha_beta_match_brute_oracle():
+    # Random draws never yield a Type II network, so the fully connected
+    # corpus gadgets also run under every session permutation: their alpha
+    # edges sit inside the senders' chains.
     rng = random.Random(97)
-    for _ in range(25):
-        sc = random_connected_scenario(rng)
-        cache = {}
-        for (i, j, k) in ((1, 2, 3), (2, 1, 3), (3, 1, 2), (1, 3, 2), (2, 3, 1), (3, 2, 1)):
-            assert alpha_edge(sc, i, j, k, cache) == brute_alpha(sc, i, j, k)
-            ab = alpha_beta(sc, i, j, k, cache)
-            assert ab.alpha == brute_alpha(sc, i, j, k)
-            assert ab.beta == brute_beta(sc, i, j, k)
+    scs = [random_connected_scenario(rng) for _ in range(25)]
+    gadgets = [load_corpus(name) for name in corpus_names()]
+    scs += [permute_sessions(sc, perm) for sc in gadgets
+            if all(brute_connects(sc, sc.sigma(j), sc.tau(i)) for j in (1, 2, 3) for i in (1, 2, 3))
+            for perm in itertools.permutations((1, 2, 3))]
+    assert len(scs) == 25 + 5 * 6
+    for sc in scs:
+        for (i, j, k) in itertools.permutations((1, 2, 3)):
+            alpha = brute_alpha(sc, i, j, k)
+            assert alpha_edge(sc, i, j, k) == alpha
+            assert alpha_beta(sc, i, j, k) == (alpha, brute_beta(sc, i, j, k))
 
 
 def test_alpha_requires_connectivity():
@@ -221,10 +216,8 @@ def test_pair_cuts_match_subset_oracle():
 @settings(max_examples=150, deadline=None, database=None)
 @given(scenarios())
 def test_cut_by_pair_matches_brute_property(sc):
-    cache = {}
     for src_pair in ((1, 2), (1, 3), (2, 3)):
         for dst_pair in ((1, 2), (1, 3), (2, 3)):
             want = brute_pair_cut(sc, [sc.sigma(a) for a in src_pair],
                                   [sc.tau(b) for b in dst_pair])
-            assert cut_by_pair(sc, src_pair, dst_pair, cache) == want
             assert cut_by_pair(sc, src_pair, dst_pair) == want

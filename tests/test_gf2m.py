@@ -195,6 +195,11 @@ def test_mul_pow_inv_match_reference_arithmetic(m):
             assert f.inv(a) == _ref_pow(a, f.order - 2, p)
             assert poly_mod(clmul(a, f.inv(a)), p) == 1
             assert f.pow(a, -e) == f.inv(f.pow(a, e))
+    # scale, with zero gains (edges[0]) and zero entries (the pairs whose b is 0)
+    gains = edges + [rand(f, rng) for _ in range(4)]
+    blocks = [[b for _, b in pairs[t::len(gains)]] for t in range(len(gains))]
+    assert f.scale(gains, blocks) == [poly_mod(clmul(g, v), p)
+                                      for g, block in zip(gains, blocks) for v in block]
 
 
 @pytest.mark.parametrize("m", range(17, 33))

@@ -328,7 +328,7 @@ def test_simulate_rejects_bad_trials():
 def test_resample_limit_on_vanishing_denominator():
     # m12 is identically zero on disjoint chains, so eta-based plans cannot
     # fill even one slot.
-    with pytest.raises(ResampleLimitError):
+    with pytest.raises(ResampleLimitError, match="m12"):
         evaluate_precoding(load_corpus("three_disjoint"),
                            PrecodingPlan.eta_general(1), F16, random.Random(0))
 
