@@ -78,6 +78,7 @@ class NetworkType:
     optimal_rate: Fraction
     eta_is_one: Optional[bool] = None
     half_feasible: Optional[bool] = None  # Reduced networks only
+    lead: int = 1  # Type II: the first session whose third relation holds
 
 
 def connectivity_map(sc: Scenario) -> Dict[SessionPair, bool]:
@@ -145,13 +146,15 @@ def classify(sc: Scenario) -> Tuple[CouplingReport, NetworkType]:
     for i in (1, 2, 3):
         flags[f"third_relation_{i}"] = check_third_relation(sc, i)
 
+    third = [i for i in (1, 2, 3) if flags[f"third_relation_{i}"]]
     if any(flags[name] for name in PAIR_CUT_RELATIONS):
         kind = "I"
-    elif any(flags[f"third_relation_{i}"] for i in (1, 2, 3)):
+    elif third:
         kind = "II"
     else:
         kind = "III"
-    nt = NetworkType(kind, RATE_BY_KIND[kind], eta_is_one=flags["eta_is_one"])
+    nt = NetworkType(kind, RATE_BY_KIND[kind], eta_is_one=flags["eta_is_one"],
+                     lead=third[0] if kind == "II" else 1)
     return CouplingReport(conn, flags), nt
 
 

@@ -19,10 +19,10 @@ and gathered back (lowered).
 Inversion reads the tables up to 2^16; above, it is the extended Euclidean
 algorithm over GF(2)[x] on plain ints, a few dozen shift-and-xor steps.
 
-The module also provides dense matrices over a field with exact Gaussian
-elimination: rank and linear solving, which is all the alignment and
-decoding code needs; a row operation reads the pivot row's logs, made once
-per pivot (above 2^16 every row stays lifted).
+The module also provides dense matrices with exact Gaussian elimination.
+A `Matrix` owns its rows: `solve` appends y, clears below each pivot in
+place (forward elimination) and back-substitutes; `rank` eliminates one
+copy.  Above 2^16 rows are lifted once and stay lifted through both passes.
 """
 
 from __future__ import annotations
@@ -203,65 +203,58 @@ class Field:
 
 
 class Matrix:
-    """Dense matrix over a Field; rows are lists of ints."""
+    """Dense matrix over a Field; it takes over `rows`, the lists of ints it is given."""
 
-    def __init__(self, field: Field, rows: Sequence[Sequence[int]]):
+    def __init__(self, field: Field, rows: List[List[int]]):
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if len(set(map(len, self.rows))) > 1:
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged rows")
 
-    def _eliminate(self, aug: List[List[int]], width: int) -> Tuple[List[int], List[List[int]]]:
-        """Row-reduce over the first `width` columns; returns the pivot columns and the rows."""
+    def _eliminate(self, rows: List[List[int]], width: int) -> Tuple[List[int], List[List[int]]]:
+        """Forward elimination over `width` columns: (pivots, rows, lifted above 2^16)."""
         f = self.field
         exp, log, n = f.exp, f.log, f.order - 1
         if exp is None:
             lift, settle, lower = f.lifted
-            aug = [[lift(v) for v in row] for row in aug]
+            rows = [[lift(v) for v in row] for row in rows]
         pivots = []
-        r = 0
         for c in range(width):
-            pivot_row = None
-            for i in range(r, len(aug)):
-                if aug[i][c]:
-                    pivot_row = i
+            r = len(pivots)
+            for i in range(r, len(rows)):
+                if rows[i][c]:
                     break
-            if pivot_row is None:
+            else:
                 continue
-            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            # Rows r and below are zero left of column c, so the row
-            # operations start there.  Each reads the normalized pivot row
-            # as logs made once per pivot (or, lifted, as the row itself).
-            row = aug[r]
+            rows[r], rows[i] = rows[i], rows[r]
+            row = rows[r]
+            # Only rows below are cleared, from column c on (left of it they are
+            # zero), with the pivot row as logs made once, or lifted and led by 1.
             if exp is not None:
-                inv = -log[row[c]] % n
-                row[c:] = [exp[inv + log[v]] for v in row[c:]]
+                lead = log[row[c]]
                 form = [log[v] for v in row[c:]]
-                for other in aug:
-                    if other is not row and other[c]:
-                        lf = log[other[c]]
+                for other in islice(rows, r + 1, None):
+                    if other[c]:
+                        lf = (log[other[c]] - lead) % n
                         other[c:] = [v ^ exp[lf + w] for v, w in zip(other[c:], form)]
             else:
                 inv = lift(f.inv(lower(row[c])))
                 row[c:] = form = [settle(inv * v) for v in row[c:]]
-                for other in aug:
-                    if other is not row and other[c]:
+                for other in islice(rows, r + 1, None):
+                    if other[c]:
                         lf = other[c]
                         other[c:] = [settle(v ^ lf * w) for v, w in zip(other[c:], form)]
             pivots.append(c)
-            r += 1
-        if exp is None:
-            aug = [[lower(v) for v in row] for row in aug]
-        return pivots, aug
+        return pivots, rows
 
     def rank(self) -> int:
-        pivots, _ = self._eliminate([list(r) for r in self.rows], self.ncols)
-        return len(pivots)
+        rows = self.rows if self.field.lifted else [row[:] for row in self.rows]
+        return len(self._eliminate(rows, self.ncols)[0])
 
     def solve(self, y: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """Solve M z = y exactly.
+        """Solve M z = y exactly, using up the rows.
 
         Returns (z, pivots): z is some solution (free variables set to zero)
         and pivots lists the pivot columns in increasing order; the solution
@@ -270,18 +263,22 @@ class Matrix:
         """
         if len(y) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = [list(r) + [v] for r, v in zip(self.rows, y)]
-        pivots, aug = self._eliminate(aug, self.ncols)
-        for i in range(len(pivots), self.nrows):
-            if aug[i][self.ncols]:
-                raise InconsistentSystemError("no solution")
-        z = [0] * self.ncols
-        for i, c in enumerate(pivots):
-            z[c] = aug[i][self.ncols]
-        return z, pivots
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over GF(2^{self.field.m}))"
+        for row, v in zip(self.rows, y):
+            row.append(v)
+        f, width = self.field, self.ncols
+        pivots, rows = self._eliminate(self.rows, width)
+        if any(row[width] for row in islice(rows, len(pivots), None)):
+            raise InconsistentSystemError("no solution")
+        exp, log, n = f.exp, f.log, f.order - 1
+        _, settle, lower = f.lifted or (None,) * 3
+        z = [0] * width
+        for r in reversed(range(len(pivots))):  # back-substitution
+            row, c = rows[r], pivots[r]
+            acc = row[width]
+            for d in pivots[r + 1:]:
+                acc ^= exp[log[row[d]] + log[z[d]]] if exp is not None else row[d] * z[d]
+            z[c] = exp[log[acc] + (n - log[row[c]]) % n] if exp is not None else settle(acc)
+        return (z if exp is not None else list(map(lower, z))), pivots
 
 
 _FIELD_CACHE: dict = {}

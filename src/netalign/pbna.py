@@ -20,7 +20,9 @@ block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j:
 * TypeTwoFive: N = 5, k = (2, 2, 2).  The EtaGeneral n=2 matrices, except
   sender 1 transmits only on columns {w, T^2 w}: on these networks the
   middle desired column is forced into the interference span at receiver 1,
-  and giving it up restores decodability at rate 2/5.
+  and giving it up restores decodability at rate 2/5.  Sender 1 must serve
+  the session whose third relation holds: the plan's `lead`, which
+  `simulate` numbers 1 by renumbering the sessions cyclically (`lead_first`).
 * EtaOne: N = 2, k = (1, 1, 1), the constraints the network has (all of
   them where eta is identically 1); each base block is a free random
   column theta, shared by the senders the chain ties together.
@@ -31,7 +33,8 @@ Receiver i sees its desired block D (sender i's data columns, scaled by
 m_ii) and one interference block per other sender (the full V_j, scaled by
 m_ji); `_receiver` builds the rows of [I | D] in one pass, m_ji(t) V_j[t]
 per slot.  It decodes exactly when D is independent of the interference:
-one elimination of [I | D] accepts iff every desired column is a pivot,
+`_decode` solves [I | D] z = y on those very rows (forward elimination,
+then back-substitution) and accepts iff every desired column is a pivot,
 i.e. rank([I | D]) = rank(I) + k_i.  `check_rank` is that rule at y = 0.
 
 `simulate` builds the plan's chain once, then draws a fresh scheme every
@@ -80,6 +83,7 @@ class PrecodingPlan:
     N: int
     k: Tuple[int, int, int]
     n: Optional[int] = None
+    lead: int = 1  # the session that plays session 1; see `lead_first`
 
     @classmethod
     def eta_general(cls, n: int) -> "PrecodingPlan":
@@ -92,9 +96,10 @@ class PrecodingPlan:
         return cls("EtaOne", 2, (1, 1, 1))
 
     @classmethod
-    def type_two_five(cls) -> "PrecodingPlan":
-        # Built on the n=2 structure, hence n is recorded.
-        return cls("TypeTwoFive", 5, (2, 2, 2), 2)
+    def type_two_five(cls, lead: int = 1) -> "PrecodingPlan":
+        # Built on the n=2 structure, hence n is recorded.  Its sender 1
+        # must serve the session whose third relation holds.
+        return cls("TypeTwoFive", 5, (2, 2, 2), 2, lead)
 
     @classmethod
     def trivial_third(cls) -> "PrecodingPlan":
@@ -110,7 +115,7 @@ def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
     if nt.kind == "I":
         return PrecodingPlan.trivial_third()
     if nt.kind == "II":
-        return PrecodingPlan.type_two_five()
+        return PrecodingPlan.type_two_five(nt.lead)
     if nt.kind == "III":
         return PrecodingPlan.eta_one() if nt.eta_is_one else PrecodingPlan.eta_general(n)
     if nt.kind == "Reduced":
@@ -118,6 +123,21 @@ def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
         # fall back to one symbol per sender over three slots.
         return PrecodingPlan.eta_one() if nt.half_feasible else PrecodingPlan.trivial_third()
     raise ValueError(f"unknown network kind {nt.kind!r}")
+
+
+def lead_first(sc: Scenario, lead: int) -> Scenario:
+    """`sc` with its sessions renumbered cyclically so that session `lead` is 1.
+
+    A plan with `lead` != 1 runs on this scenario: the third relation of
+    session `lead` becomes session 1's, and the coding variables keep their
+    order, so the draws do not change.
+    """
+    if lead == 1:
+        return sc
+    names = sc.nodes
+    sessions = [((s.index - lead) % 3 + 1, s.sender, s.receiver) for s in sc.sessions]
+    return Scenario(names, sc.ids, [names[v] for v in sc.tails],
+                    [names[v] for v in sc.heads], sessions)
 
 
 @dataclass
@@ -165,6 +185,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
                        chain: Optional[ReducedStructure] = None) -> EvaluatedScheme:
     """Draw one concrete scheme: N coding assignments plus free scalars.
 
+    Sessions are taken in plan order: `sc` is `lead_first(network, plan.lead)`.
     `chain` is `plan_chain(sc, plan)`, built here when not given.  A slot
     whose draw zeroes any transfer function appearing in a profile
     denominator is redrawn in full; RESAMPLE_LIMIT consecutive bad draws
@@ -227,7 +248,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
 
 def _receiver(es: EvaluatedScheme, i: int) -> Tuple[List[List[int]], Tuple[int, int, int]]:
-    """Receiver i's system [I | D] as rows, and the column each block ends at.
+    """Receiver i's system [I | D] as new rows, and the column each block ends at.
 
     Row t is m_ji(t) V_j[t] for each other sender j in turn (the full
     received blocks, its interference I), then m_ii(t) times sender i's data
@@ -235,14 +256,13 @@ def _receiver(es: EvaluatedScheme, i: int) -> Tuple[List[List[int]], Tuple[int, 
     receiver i contributes a zero block, which changes no rank and no pivot,
     so it needs no special case.
     """
-    f = es.V[0].field
+    V, m, data = es.V, es.m_vals, es.data_cols[i - 1]
     j, k = [j for j in (1, 2, 3) if j != i]
-    data = es.data_cols[i - 1]
-    gains = zip(es.m_vals[(j, i)], es.m_vals[(k, i)], es.m_vals[(i, i)])
-    rows = [f.scale(g, (vj, vk, [vi[c] for c in data]))
-            for g, vj, vk, vi in zip(gains, es.V[j - 1].rows, es.V[k - 1].rows, es.V[i - 1].rows)]
-    first = es.V[j - 1].ncols
-    last = first + es.V[k - 1].ncols
+    own = V[i - 1].rows  # copied only when some column carries no data
+    own = own if len(data) == V[i - 1].ncols else [[row[c] for c in data] for row in own]
+    rows = list(map(V[0].field.scale, zip(m[j, i], m[k, i], m[i, i]),
+                    zip(V[j - 1].rows, V[k - 1].rows, own)))
+    first, last = V[j - 1].ncols, V[j - 1].ncols + V[k - 1].ncols
     return rows, (first, last, last + len(data))
 
 
@@ -286,16 +306,16 @@ def check_rank(es: EvaluatedScheme) -> Tuple[bool, bool, bool]:
 def _decode(es: EvaluatedScheme, i: int, y: Sequence[int]) -> Optional[List[int]]:
     """Receiver i's exact decode; None when the draw leaves it ambiguous.
 
-    Solves [interference | desired] z = y and accepts iff every desired
-    column is a pivot, i.e. rank([I | D]) = rank(I) + k_i: the desired
-    symbols are then determined whatever the interference carries.
+    Solves [I | D] z = y on the rows `_receiver` builds, and accepts iff the
+    k_i desired columns (the last) are the last k_i pivots, i.e. rank([I | D]) =
+    rank(I) + k_i: the desired symbols are then fixed whatever the interference.
     """
     rows, (_, first, width) = _receiver(es, i)
     try:
         z, pivots = Matrix(es.V[0].field, rows).solve(y)
     except InconsistentSystemError:
         return None
-    if not set(range(first, width)) <= set(pivots):
+    if pivots[first - width:] != list(range(first, width)):
         return None
     return z[first:]
 
@@ -317,9 +337,13 @@ class SimulationResult:
 
 def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
              seed: int = 0) -> SimulationResult:
-    """Monte-Carlo runs of a plan: fresh scheme, random data, exact decode."""
+    """Monte-Carlo runs of a plan: fresh scheme, random data, exact decode.
+
+    It runs on `lead_first(sc, plan.lead)` and reports in `sc`'s session order.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
+    sc = lead_first(sc, plan.lead)
     chain = plan_chain(sc, plan)
     rng = random.Random(seed)
     successes = 0
@@ -341,6 +365,8 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
                 ok = False
         if ok:
             successes += 1
+    back = [(i - plan.lead) % 3 for i in (1, 2, 3)]  # plan position of each session
     return SimulationResult(plan=plan, trials=trials, successes=successes,
-                            receiver_failures=tuple(failures), rates=plan.rates,
+                            receiver_failures=tuple(failures[b] for b in back),
+                            rates=tuple(plan.rates[b] for b in back),
                             field_bits=field.m, seed=seed)

@@ -14,6 +14,10 @@ take single values off the library's own sweep for tests that need them.
 The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
 multiply through `Field.mul` one entry at a time; `receiver_system` stacks
 them into the block layout that `pbna._receiver` builds in one pass.
+`ref_rank`, `ref_solve` and `ref_decode` are the Gauss-Jordan elimination
+the library used before its forward elimination and back-substitution, kept
+as the reference they are checked against; `perturbed_type_two` draws Type II
+networks, which the other generators essentially never produce.
 """
 
 import itertools
@@ -23,7 +27,7 @@ from operator import xor
 from hypothesis import strategies as st
 
 from netalign.dag import Scenario, serialize_scenario
-from netalign.gf2m import Matrix
+from netalign.gf2m import InconsistentSystemError, Matrix
 from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix, transfer_values
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
@@ -168,6 +172,26 @@ def permute_sessions(sc, perm):
     return make_scenario([(e.id, e.tail, e.head) for e in sc.edges], sessions, sc.nodes)
 
 
+def perturbed_type_two(rng, gadget):
+    """`type_two_gadget` plus 1-2 random forward edges, its sessions permuted.
+
+    Each new edge joins two interior nodes (neither a sender nor a
+    receiver), from the one whose out-edges start earlier in the edge order
+    to the later one, so the graph stays acyclic.  About one draw in eight is
+    still Type II; the rest are Type III.
+    """
+    ends = {v for s in gadget.sessions for v in (s.sender, s.receiver)}
+    interior = sorted((v for v in gadget.nodes if v not in ends),
+                      key=lambda v: gadget.out_edges[gadget.nodes.index(v)].start)
+    triples = [(e.id, e.tail, e.head) for e in gadget.edges]
+    for _ in range(rng.randint(1, 2)):
+        a, b = sorted(rng.sample(range(len(interior)), 2))
+        triples.append((len(triples) + 1, interior[a], interior[b]))
+    sessions = [(s.index, s.sender, s.receiver) for s in gadget.sessions]
+    return permute_sessions(make_scenario(triples, sessions, gadget.nodes),
+                            rng.sample((1, 2, 3), 3))
+
+
 def layered_dag(rng, width=10, gaps=480, extra=394):
     """Fully connected layered DAG; defaults give exactly 10000 edges.
 
@@ -259,6 +283,80 @@ def receiver_system(es, i):
     """Receiver i's [I | D]: the other senders' full blocks, then its own data block."""
     blocks = [received_block(es, j, i) for j in (1, 2, 3) if j != i]
     return hstack(blocks + [received_block(es, i, i, data_only=True)])
+
+
+# -- reference elimination: Gauss-Jordan on copies ----------------------------
+
+
+def _ref_eliminate(f, aug, width):
+    """Row-reduce copies of `aug` over the first `width` columns: (pivot columns, rows).
+
+    Every pivot row is scaled to 1 and cleared from all other rows, above
+    and below; above 2^16 the rows stay lifted until the end.
+    """
+    exp, log, n = f.exp, f.log, f.order - 1
+    if exp is None:
+        lift, settle, lower = f.lifted
+        aug = [[lift(v) for v in row] for row in aug]
+    else:
+        aug = [list(row) for row in aug]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        row = aug[r]
+        if exp is not None:
+            inv = -log[row[c]] % n
+            row[c:] = [exp[inv + log[v]] for v in row[c:]]
+            form = [log[v] for v in row[c:]]
+            for other in aug:
+                if other is not row and other[c]:
+                    lf = log[other[c]]
+                    other[c:] = [v ^ exp[lf + w] for v, w in zip(other[c:], form)]
+        else:
+            inv = lift(f.inv(lower(row[c])))
+            row[c:] = form = [settle(inv * v) for v in row[c:]]
+            for other in aug:
+                if other is not row and other[c]:
+                    lf = other[c]
+                    other[c:] = [settle(v ^ lf * w) for v, w in zip(other[c:], form)]
+        pivots.append(c)
+        r += 1
+    if exp is None:
+        aug = [[lower(v) for v in row] for row in aug]
+    return pivots, aug
+
+
+def ref_rank(f, rows):
+    return len(_ref_eliminate(f, rows, len(rows[0]) if rows else 0)[0])
+
+
+def ref_solve(f, rows, y):
+    """(z, pivots) of rows z = y, free variables zero; InconsistentSystemError if none."""
+    width = len(rows[0]) if rows else 0
+    pivots, aug = _ref_eliminate(f, [list(r) + [v] for r, v in zip(rows, y)], width)
+    if any(row[width] for row in aug[len(pivots):]):
+        raise InconsistentSystemError("no solution")
+    z = [0] * width
+    for i, c in enumerate(pivots):
+        z[c] = aug[i][width]
+    return z, pivots
+
+
+def ref_decode(es, i, y):
+    """Receiver i's decode by the reference solve on the stacked blocks."""
+    system = receiver_system(es, i)
+    first = system.ncols - len(es.data_cols[i - 1])
+    try:
+        z, pivots = ref_solve(system.field, system.rows, y)
+    except InconsistentSystemError:
+        return None
+    if not set(range(first, system.ncols)) <= set(pivots):
+        return None
+    return z[first:]
 
 
 # -- single values read off the library sweep ---------------------------------

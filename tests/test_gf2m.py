@@ -10,8 +10,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genutils import hstack, mul_vec, rand, scale_rows, select_cols
+from genutils import hstack, mul_vec, rand, ref_rank, ref_solve, scale_rows, select_cols
 from netalign.gf2m import (
     IRREDUCIBLE_POLY,
     Field,
@@ -260,7 +262,7 @@ def test_lifted_elimination_keeps_rows_lifted(m, monkeypatch):
         if m4.rank() != 4:
             continue
         x = [rand(f, rng) for _ in range(4)]
-        z, pivots = m4.solve(mul_vec(m4, x))
+        z, pivots = Matrix(f, [row[:] for row in m4.rows]).solve(mul_vec(m4, x))
         assert pivots == [0, 1, 2, 3] and z == x
         a, b = rand(f, rng), rand(f, rng)
         extra = [f.mul(a, u) ^ f.mul(b, v) for u, v in zip(m4.rows[0], m4.rows[1])]
@@ -333,6 +335,71 @@ def test_matrix_construction_errors():
         Matrix(f, [[1, 2], [3]])
 
 
+@pytest.mark.parametrize("m", (16, 32))
+def test_matrix_takes_over_rows(m):
+    # no copy on construction; rank eliminates a copy, solve the rows themselves
+    f = Field(m)
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    kept = [row[:] for row in rows]
+    mat = Matrix(f, rows)
+    assert mat.rows is rows and mat.rows[0] is rows[0]
+    assert mat.rank() == 2 and rows == kept
+    z, pivots = mat.solve([3, 6, 1])
+    assert pivots == [0, 1] and z == [1, 1, 0]
+    assert [len(row) for row in rows] == [4, 4, 4]  # y was appended to each row
+
+
+FIELD_BITS = (1, 2, 3, 8, 16, 17, 32)
+
+
+@st.composite
+def systems(draw):
+    """A field, up to 7 x 9 rows with repeated, combined and zero ones, and a right side.
+
+    Half the right sides are M x for a drawn x, so the system has a solution.
+    """
+    f = field(draw(st.sampled_from(FIELD_BITS)))
+    elem = st.integers(0, f.order - 1)
+    ncols = draw(st.integers(1, 9))
+    line = st.lists(elem, min_size=ncols, max_size=ncols)
+    rows = [draw(line)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("drawn", "zero", "repeated", "combined")))
+        if kind == "drawn":
+            rows.append(draw(line))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeated":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(elem), draw(elem)
+            p, q = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([f.mul(a, u) ^ f.mul(b, v) for u, v in zip(p, q)])
+    if draw(st.booleans()):
+        y = mul_vec(Matrix(f, rows), draw(line))
+    else:
+        y = draw(st.lists(elem, min_size=len(rows), max_size=len(rows)))
+    return f, rows, y
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(systems())
+def test_elimination_matches_gauss_jordan_reference(system):
+    # forward elimination plus back-substitution against the Gauss-Jordan
+    # reduction it replaced: rank, pivots, z (free variables zero) and the
+    # inconsistent case all agree
+    f, rows, y = system
+    mat = Matrix(f, [row[:] for row in rows])
+    assert mat.rank() == ref_rank(f, rows)
+    try:
+        want = ref_solve(f, rows, y)
+    except InconsistentSystemError:
+        with pytest.raises(InconsistentSystemError):
+            mat.solve(y)
+    else:
+        assert mat.solve(y) == want
+
+
 def test_rank_anchors():
     f = Field(2)
     assert Matrix(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
@@ -392,6 +459,17 @@ def test_solve_free_variables_zeroed():
     z, pivots = Matrix(f, [[1, 2], [0, 0]]).solve([3, 0])
     assert z == [3, 0]
     assert pivots == [0]
+
+
+@pytest.mark.parametrize("m", (1, 2, 4, 16, 17))
+def test_solve_divides_by_every_pivot(m):
+    # z = y / p for a 1 x 1 system, at the extreme logs of p and y too
+    f = Field(m)
+    top = f.pow(2 if m > 1 else 1, f.order - 2)  # x^(2^m - 2), the last power of x
+    values = {1, top, f.order - 1}
+    for p in values:
+        for y in values | {0}:
+            assert Matrix(f, [[p]]).solve([y]) == ([f.div(y, p)], [0])
 
 
 def test_solve_rhs_length_mismatch():

@@ -1,6 +1,7 @@
 """Precoding plans: structure, alignment, rank witnesses and simulation."""
 
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,30 +11,47 @@ import pytest
 from genutils import (
     column,
     make_scenario,
+    mul_vec,
+    permute_sessions,
+    perturbed_type_two,
     rand,
     random_connected_scenario,
     random_scenario,
     received_block,
     receiver_system,
+    ref_decode,
     sender_matrix,
     transfer,
 )
 from netalign import corpus_names, load_corpus, pbna
-from netalign.feasibility import NetworkType, classify, connectivity_map, reduced_structure
+from netalign.feasibility import (
+    NetworkType,
+    classify,
+    connectivity_map,
+    reduced_structure,
+    report_identity_flags,
+)
 from netalign.gf2m import field
 from netalign.pbna import (
     ALIGNED,
     UNALIGNED,
     PrecodingPlan,
+    _decode,
     _receiver,
     build_plan,
     check_alignment,
     check_rank,
     evaluate_precoding,
+    lead_first,
     propagate,
     simulate,
 )
-from netalign.xfer import CodingAssignment, ResampleLimitError, session_transfer_matrix
+from netalign.xfer import (
+    CodingAssignment,
+    ResampleLimitError,
+    oracle_coupling_verdicts,
+    session_transfer_matrix,
+)
 
 F16 = field(16)
 
@@ -368,3 +386,88 @@ def test_dead_session_graph_decodes_other_two():
     assert res.successes == 0
     assert res.receiver_failures[0] == 20
     assert res.receiver_failures[1:] == (0, 0)
+
+
+# -- exact decode against the reference elimination --------------------------------
+
+
+def test_decode_matches_reference_decode_in_small_fields():
+    # at m = 1..4 draws are often degenerate, so both the accepting and the
+    # rejecting branch of the decode run, at zero, random and consistent y
+    plans = (PrecodingPlan.eta_general(2), PrecodingPlan.eta_one(),
+             PrecodingPlan.type_two_five(), PrecodingPlan.trivial_third())
+    outcomes = Counter()
+    for m in (1, 2, 3, 4):
+        f = field(m)
+        rng = random.Random(m)
+        for name in corpus_names():
+            sc = load_corpus(name)
+            for plan in plans:
+                for _ in range(4):
+                    try:
+                        es = evaluate_precoding(sc, plan, f, rng)
+                    except ResampleLimitError:
+                        break
+                    for i in (1, 2, 3):
+                        sent = mul_vec(receiver_system(es, i), f.draw(rng, len(_receiver(es, i)[0][0])))
+                        for y in ([0] * plan.N, f.draw(rng, plan.N), sent):
+                            got = _decode(es, i, y)
+                            assert got == ref_decode(es, i, y), (m, name, plan.kind, i, y)
+                            outcomes[got is None] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 300, outcomes
+
+
+# -- Type II: the plan leads with the session whose third relation holds ------------
+
+
+def test_every_session_order_of_the_type_two_gadget_decodes():
+    gadget = load_corpus("type_two_gadget")
+    leads = set()
+    for perm in itertools.permutations((1, 2, 3)):
+        sc = permute_sessions(gadget, perm)
+        _, nt = classify(sc)
+        assert nt.kind == "II" and nt.lead in (1, 2, 3), perm
+        leads.add(nt.lead)
+        res = simulate(sc, build_plan(nt), trials=100, field=F16, seed=4)
+        assert res.success_probability >= 0.99, (perm, res.receiver_failures)
+    assert leads == {1, 2, 3}
+
+
+def test_lead_first_renumbers_cyclically_and_simulate_reports_in_file_order():
+    sc = permute_sessions(load_corpus("type_two_gadget"), (2, 1, 3))
+    assert classify(sc)[1].lead == 2
+    for lead in (1, 2, 3):
+        rotated = lead_first(sc, lead)
+        assert [s.sender for s in rotated.sessions] == \
+            [sc.sessions[(lead - 1 + t) % 3].sender for t in range(3)]
+        res = simulate(sc, PrecodingPlan.type_two_five(lead), trials=30, field=F16, seed=2)
+        ref = simulate(rotated, PrecodingPlan.type_two_five(), trials=30, field=F16, seed=2)
+        assert res.receiver_failures == tuple(ref.receiver_failures[(s - lead) % 3]
+                                              for s in (1, 2, 3))
+        assert res.successes == ref.successes
+    # led by session 1, whose third relation does not hold, receiver 2 never decodes
+    res = simulate(sc, PrecodingPlan.type_two_five(), trials=30, field=F16, seed=2)
+    assert res.receiver_failures == (0, 30, 0)
+
+
+def test_perturbed_type_two_networks_match_oracle_and_decode_at_rate_two_fifths():
+    # 1-2 random forward edges and a random session order on the Type II
+    # gadget; the matched plan decodes and aligns, and EtaGeneral(3), at a
+    # symmetric rate 3/7 above the optimum 2/5, fails at some receiver
+    gadget = load_corpus("type_two_gadget")
+    f32 = field(32)
+    rng = random.Random(11)
+    type_two = Counter()
+    for _ in range(600):
+        sc = perturbed_type_two(rng, gadget)
+        report, nt = classify(sc)
+        assert report_identity_flags(report) == oracle_coupling_verdicts(sc)
+        if nt.kind != "II":
+            continue
+        type_two[nt.lead] += 1
+        plan = build_plan(nt)
+        es = evaluate_precoding(lead_first(sc, plan.lead), plan, f32, rng)
+        assert all(check_rank(es)) and check_alignment(es)
+        es = evaluate_precoding(sc, PrecodingPlan.eta_general(3), f32, rng)
+        assert not all(check_rank(es))
+    assert sum(type_two.values()) >= 40 and set(type_two) == {1, 2, 3}, type_two
