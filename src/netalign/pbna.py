@@ -62,7 +62,7 @@ from .feasibility import (
 )
 from .gf2m import Field, InconsistentSystemError, Matrix
 from .xfer import (
-    RATIOS,
+    COUPLING_IDENTITIES,
     CodingAssignment,
     SESSION_PAIRS,
     ResampleLimitError,
@@ -73,6 +73,7 @@ from .xfer import (
 )
 
 RESAMPLE_LIMIT = 100
+(ETA_NUM,), (ETA_DEN,) = COUPLING_IDENTITIES["eta_is_one"]  # eta's two sides
 
 
 @dataclass(frozen=True)
@@ -194,10 +195,9 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     """
     if chain is None:
         chain = plan_chain(sc, plan)
-    eta_spec = RATIOS["eta"]
     den_pairs = {p for prof in chain.profile_den for p in prof}
     if plan.n is not None:
-        den_pairs.update(eta_spec.denominator)
+        den_pairs.update(ETA_DEN)
 
     assignments: List[CodingAssignment] = []
     slots: List[Dict[SessionPair, int]] = []
@@ -221,8 +221,7 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
     N = plan.N
     m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
-    eta_vals = [pair_ratio(field, m, eta_spec.numerator, eta_spec.denominator)
-                for m in slots]
+    eta_vals = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
 
     # Column families: one free random column per base block, or eta powers
     # (defined, as eta's denominator was resampled).
@@ -231,8 +230,8 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
         columns = [[[v] for v in theta[b]] for b in chain.base]
     else:
         theta, n = {}, plan.n
-        columns = [[[field.pow(eta, c) for c in cs] for eta in eta_vals]
-                   for cs in (range(n + 1), range(n), range(1, n + 1))]
+        powers = [[field.pow(eta, c) for c in range(n + 1)] for eta in eta_vals]
+        columns = [powers, [row[:n] for row in powers], [row[1:] for row in powers]]
     V = []
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
         if den:  # kept nonzero by resampling

@@ -8,11 +8,14 @@ all directed paths from src to dst of the product of the coding coefficients
 along the path (a k-edge path contributes k-1 coefficients).
 
 Edges are `Scenario` indices, which are topological positions.  `_sweep`
-runs that recurrence in index order over the compiled `Scenario.program`
-((pred, pair position) per edge), carrying up to three lanes in one pass:
-`session_transfer_matrix` gets all three sender gains from it,
-`transfer_values` and `propagate` one lane.  Every numeric transfer value
-in the package comes from it.  `oracle_transfer_poly` instead enumerates
+runs that recurrence in index order over a compiled program ((pred, pair
+position) per edge), one lane after another in one call.  A lane starts
+just after its earliest source, which may be any edge; any later source
+must have no predecessor.  `session_transfer_matrix` runs three
+single-source lanes on `Scenario.sender_programs`, `propagate` one lane on
+`Scenario.program` carrying the three sender injections, and
+`transfer_values` one lane from any single edge.  Every numeric transfer
+value in the package comes from it.  `oracle_transfer_poly` instead enumerates
 paths and returns m(src, dst) as an exact sparse polynomial over GF(2), its
 variables keyed by edge-id pairs; it shares none of the recurrence and is
 the slow route the tests trust.  Monomials with equal variable sets cancel
@@ -30,7 +33,8 @@ j to receiver edge of session i) combine into diagnostic ratios
 whose degeneracies (p_i = 1, p_i = eta, and the mixed third relations)
 decide how much throughput alignment can rescue.  Cross-multiplied,
 denominator-free forms of all ten relations live in COUPLING_IDENTITIES so
-the same table drives the exact oracle and the randomized point tests.
+the same table drives the exact oracle and the randomized point tests; its
+"is one" rows are the four ratios, and `pbna` reads eta off `eta_is_one`.
 """
 
 from __future__ import annotations
@@ -81,79 +85,61 @@ class CodingAssignment:
         return self._form[1]
 
 
-def _sweep(sc: Scenario, x: CodingAssignment, field: Field,
-           inject: Dict[int, Tuple[int, int, int]],
-           programs: Sequence[Program]) -> Tuple[List[int], List[int], List[int]]:
-    """The recurrence of `transfer_values` in one or three lanes, one pass.
+def _sweep(x: CodingAssignment, field: Field,
+           lanes: Sequence[Tuple[Program, Sequence[Tuple[int, int]]]]) -> List[List[int]]:
+    """The recurrence of `transfer_values`, once per (program, sources) lane.
 
-    `inject` maps an edge to its values for the lanes;
-    lane l runs `programs[l]`.  Returns each lane's values by edge as
-    logs (zero as the sentinel; a product is one `exp` lookup), or above
-    2^16 lifted (an edge's products are XORed, then settled once).
+    A lane injects each (edge, value) of `sources` and runs `program` in
+    index order from just after its earliest source, which may be any edge;
+    edges with no predecessor are skipped, so every later source must have
+    none (sender edges never do) or its value is overwritten.  Returns each
+    lane's values by edge as logs (zero as the sentinel; a product is one
+    `exp` lookup), or above 2^16 lifted (an edge's products are XORed, then
+    settled once).
     """
     coeffs = x.operands(field)
     exp, log = field.exp, field.log
-    size = len(sc.ids)
-    three = len(programs) == 3
-    prog1, prog2, prog3 = programs if three else (programs[0], None, None)
-    injected = [(0, 0, 0)] * size
-    for t, vs in inject.items():
-        injected[t] = vs
-    start = min(inject)
     if exp is not None:
-        lane1 = [log[0]] * size
-        lane2, lane3 = lane1[:], lane1[:]
-        for t in range(start, size):
-            a1, a2, a3 = injected[t]
-            for p, k in prog1[t]:
-                a1 ^= exp[coeffs[k] + lane1[p]]
-            lane1[t] = log[a1]
-            if three:
-                for p, k in prog2[t]:
-                    a2 ^= exp[coeffs[k] + lane2[p]]
-                for p, k in prog3[t]:
-                    a3 ^= exp[coeffs[k] + lane3[p]]
-                lane2[t] = log[a2]
-                lane3[t] = log[a3]
+        zero, into = log[0], log.__getitem__
     else:
-        lift, settle, _ = field.lifted
-        for t, vs in inject.items():
-            injected[t] = tuple(map(lift, vs))
-        lane1, lane2, lane3 = [0] * size, [0] * size, [0] * size
-        for t in range(start, size):
-            a1, a2, a3 = injected[t]
-            for p, k in prog1[t]:
-                a1 ^= coeffs[k] * lane1[p]
-            if a1:
-                lane1[t] = settle(a1)
-            if three:
-                for p, k in prog2[t]:
-                    a2 ^= coeffs[k] * lane2[p]
-                for p, k in prog3[t]:
-                    a3 ^= coeffs[k] * lane3[p]
-                if a2:
-                    lane2[t] = settle(a2)
-                if a3:
-                    lane3[t] = settle(a3)
-    return lane1, lane2, lane3
+        into, settle, _ = field.lifted
+        zero = 0
+    out = []
+    for program, sources in lanes:
+        lane = [zero] * len(program)
+        for e, v in sources:
+            lane[e] = into(v)
+        if exp is not None:
+            for t in range(min(sources)[0] + 1, len(program)):
+                row = program[t]
+                if row:
+                    a = 0
+                    for p, k in row:
+                        a ^= exp[coeffs[k] + lane[p]]
+                    lane[t] = log[a]
+        else:
+            for t in range(min(sources)[0] + 1, len(program)):
+                row = program[t]
+                if row:
+                    a = 0
+                    for p, k in row:
+                        a ^= coeffs[k] * lane[p]
+                    lane[t] = settle(a) if a else 0
+        out.append(lane)
+    return out
 
 
 def _plain(field: Field):  # from `_sweep`'s form back to field elements
     return field.exp.__getitem__ if field.exp is not None else field.lifted[2]
 
 
-def transfer_values(sc: Scenario, x: CodingAssignment, field: Field,
-                    sources: Dict[int, int]) -> Dict[int, int]:
-    """Symbol on every edge when each edge in `sources` injects its value.
+def transfer_values(sc: Scenario, x: CodingAssignment, field: Field, src: int) -> Dict[int, int]:
+    """The gains m(src, e) of every edge e, omitting those that are zero.
 
-    Single pass in index order from the earliest source: every edge
-    carries its injected value (zero for most) plus sum x_{e'e} value(e')
-    over the edges e' into its tail.  With sources {src: 1} the values are
-    the gains m(src, e).  Edges whose value is zero are omitted.  It runs
-    one lane of `_sweep`.
+    One lane of `_sweep` from src, which may be any edge: src carries 1 and
+    every later edge sum x_{e'e} m(src, e') over the edges e' into its tail.
     """
-    lane = _sweep(sc, x, field, {e: (v, 0, 0) for e, v in sources.items()},
-                  (sc.program,))[0]
+    lane, = _sweep(x, field, [(sc.program, ((src, 1),))])
     return {e: v for e, v in enumerate(map(_plain(field), lane)) if v}
 
 
@@ -161,19 +147,18 @@ def propagate(sc: Scenario, x: CodingAssignment, field: Field,
               injected: Sequence[int]) -> Tuple[int, int, int]:
     """Push one slot's symbols through the network by local updates only.
 
-    Injects injected[j-1] on sigma_j, sweeps the per-node combinations in
-    topological order (lane 1 of `_sweep`) and returns the three tau values;
+    Injects injected[j-1] on sigma_j and sweeps the per-node combinations in
+    topological order, one lane of `_sweep` with three sources (sender
+    edges, which have no predecessor), and returns the three tau values;
     it never reads a transfer function.
     """
-    lane = _sweep(sc, x, field, {t: (u, 0, 0) for t, u in zip(sc.senders, injected)},
-                  (sc.program,))[0]
+    lane, = _sweep(x, field, [(sc.program, tuple(zip(sc.senders, injected)))])
     return tuple(map(_plain(field), [lane[t] for t in sc.receivers]))
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
-    """All nine m_ji at one assignment: one pass, lane j on what sigma_j reaches."""
-    lanes = _sweep(sc, x, field, dict(zip(sc.senders, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
-                   sc.sender_programs)
+    """All nine m_ji at one assignment: one sweep, lane j on what sigma_j reaches."""
+    lanes = _sweep(x, field, [(prog, ((t, 1),)) for prog, t in zip(sc.sender_programs, sc.senders)])
     values = map(_plain(field), [lane[t] for lane in lanes for t in sc.receivers])
     return dict(zip(SESSION_PAIRS, values))
 
@@ -302,9 +287,9 @@ def oracle_transfer_poly(sc: Scenario, src: int, dst: int,
     return SparsePoly(monos)
 
 
-def oracle_session_polys(sc: Scenario, limit: int = PATH_LIMIT) -> Dict[Tuple[int, int], SparsePoly]:
+def oracle_session_polys(sc: Scenario) -> Dict[Tuple[int, int], SparsePoly]:
     """Exact polynomials for all nine m_ji."""
-    return {(j, i): oracle_transfer_poly(sc, sc.sigma(j), sc.tau(i), limit)
+    return {(j, i): oracle_transfer_poly(sc, sc.sigma(j), sc.tau(i))
             for j in (1, 2, 3) for i in (1, 2, 3)}
 
 
@@ -312,21 +297,6 @@ def oracle_session_polys(sc: Scenario, limit: int = PATH_LIMIT) -> Dict[Tuple[in
 
 SessionPair = Tuple[int, int]  # (j, i) stands for m_ji
 SESSION_PAIRS = tuple((j, i) for j in (1, 2, 3) for i in (1, 2, 3))
-
-
-@dataclass(frozen=True)
-class RatioSpec:
-    kind: str
-    numerator: Tuple[SessionPair, ...]
-    denominator: Tuple[SessionPair, ...]
-
-
-RATIOS: Dict[str, RatioSpec] = {
-    "p1": RatioSpec("p1", ((1, 3), (2, 1)), ((1, 1), (2, 3))),
-    "p2": RatioSpec("p2", ((1, 3), (2, 2)), ((1, 2), (2, 3))),
-    "p3": RatioSpec("p3", ((2, 1), (3, 3)), ((2, 3), (3, 1))),
-    "eta": RatioSpec("eta", ((1, 3), (2, 1), (3, 2)), ((1, 2), (2, 3), (3, 1))),
-}
 
 
 def pair_product(field: Field, m: Dict[SessionPair, int],
@@ -415,9 +385,9 @@ def oracle_identity_verdict(name: str, polys: Dict[SessionPair, SparsePoly]) -> 
     return side(lhs) == side(rhs)
 
 
-def oracle_coupling_verdicts(sc: Scenario, limit: int = PATH_LIMIT) -> Dict[str, bool]:
+def oracle_coupling_verdicts(sc: Scenario) -> Dict[str, bool]:
     """Exact verdicts for all ten coupling relations."""
-    polys = oracle_session_polys(sc, limit)
+    polys = oracle_session_polys(sc)
     return {name: oracle_identity_verdict(name, polys) for name in COUPLING_IDENTITIES}
 
 

@@ -10,7 +10,8 @@ file by its id; `index_of` and `edge_ids` translate, and the oracles read
 the raw (id, tail, head) list through that translation, so they answer in
 indices too and "topologically last" is the largest index.
 The exception is two small readers, `transfer` and `evaluate_ratio`, which
-take single values off the library's own sweep for tests that need them.
+take single values off the library's own sweep for tests that need them;
+`RATIOS` writes the four diagnostic ratios out as the reference table.
 The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
 multiply through `Field.mul` one entry at a time; `receiver_system` stacks
 them into the block layout that `pbna._receiver` builds in one pass.
@@ -362,15 +363,26 @@ def ref_decode(es, i, y):
 # -- single values read off the library sweep ---------------------------------
 
 
+# The diagnostic ratios as (numerator, denominator) pairs of m_ji factors:
+# p1 = m13 m21 / (m11 m23), p2 = m13 m22 / (m12 m23), p3 = m21 m33 / (m23 m31)
+# and eta = m13 m21 m32 / (m12 m23 m31).
+RATIOS = {
+    "p1": (((1, 3), (2, 1)), ((1, 1), (2, 3))),
+    "p2": (((1, 3), (2, 2)), ((1, 2), (2, 3))),
+    "p3": (((2, 1), (3, 3)), ((2, 3), (3, 1))),
+    "eta": (((1, 3), (2, 1), (3, 2)), ((1, 2), (2, 3), (3, 1))),
+}
+
+
 def transfer(sc, x, field, src, dst):
     """m(src, dst) at one assignment."""
-    return transfer_values(sc, x, field, {src: 1}).get(dst, 0)
+    return transfer_values(sc, x, field, src).get(dst, 0)
 
 
-def evaluate_ratio(sc, x, field, spec):
-    """A diagnostic ratio at one assignment; None where its denominator is zero."""
+def evaluate_ratio(sc, x, field, ratio):
+    """A `RATIOS` entry at one assignment; None where its denominator is zero."""
     m = session_transfer_matrix(sc, x, field)
-    return pair_ratio(field, m, spec.numerator, spec.denominator)
+    return pair_ratio(field, m, *ratio)
 
 
 # -- brute-force reachability (raw edge data only) ---------------------------

@@ -216,20 +216,23 @@ def test_eta_vals_undefined_on_disjoint_paths():
 
 
 def test_propagate_is_linear_in_injections():
+    # the one lane with three sources, in both field forms (tables up to
+    # 2^16, lifted above)
     rng = random.Random(77)
     scs = [load_corpus(n) for n in ("two_corridor", "m21_dead")]
     scs += [random_connected_scenario(rng) for _ in range(5)]
-    for sc in scs:
-        for _ in range(4):
-            x = CodingAssignment.random(sc, F16, rng)
-            m = session_transfer_matrix(sc, x, F16)
-            u = [rand(F16, rng) for _ in range(3)]
-            got = propagate(sc, x, F16, u)
-            for i in (1, 2, 3):
-                want = 0
-                for j in (1, 2, 3):
-                    want ^= F16.mul(m[(j, i)], u[j - 1])
-                assert got[i - 1] == want
+    for f in map(field, (1, 4, 16, 17, 32)):
+        for sc in scs:
+            for _ in range(4):
+                x = CodingAssignment.random(sc, f, rng)
+                m = session_transfer_matrix(sc, x, f)
+                u = [rand(f, rng) for _ in range(3)]
+                got = propagate(sc, x, f, u)
+                for i in (1, 2, 3):
+                    want = 0
+                    for j in (1, 2, 3):
+                        want ^= f.mul(m[(j, i)], u[j - 1])
+                    assert got[i - 1] == want
 
 
 # -- alignment ---------------------------------------------------------------------
