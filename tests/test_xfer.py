@@ -203,6 +203,14 @@ def test_random_assignment_replays_randrange(m):
 # -- diagnostic ratios -----------------------------------------------------------
 
 
+def test_ratio_table_matches_stated_formulas():
+    assert RATIOS["p1"] == (((1, 3), (2, 1)), ((1, 1), (2, 3)))
+    assert RATIOS["p2"] == (((1, 3), (2, 2)), ((1, 2), (2, 3)))
+    assert RATIOS["p3"] == (((2, 1), (3, 3)), ((2, 3), (3, 1)))
+    assert RATIOS["eta"] == (((1, 3), (2, 1), (3, 2)), ((1, 2), (2, 3), (3, 1)))
+    assert set(RATIOS) == {"p1", "p2", "p3", "eta"}
+
+
 def test_identity_table_consistent_with_ratios():
     # the "is one" rows are the ratios of the module docstring, cross-multiplied
     for name, (num, den) in RATIOS.items():
