@@ -46,7 +46,6 @@ from .xfer import (
     oracle_coupling_verdicts,
     oracle_session_polys,
     oracle_transfer_poly,
-    transfer_values,
 )
 
 __version__ = "0.1.0"

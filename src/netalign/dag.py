@@ -127,7 +127,6 @@ class Scenario:
         self.pred = list(map(self.in_edges.__getitem__, self.tails))
 
         self.sessions, self.senders, self.receivers = self._pin_sessions(sessions, number)
-        self._reach: Dict[Tuple[int, bool], FrozenSet[int]] = {}
         self.dominator_trees: Dict[int, List[int]] = {}
 
     @cached_property
@@ -220,12 +219,9 @@ class Scenario:
 
         With forward=False, edges that can reach `start`.  Edges in `banned`
         are treated as removed; if `start` itself is banned the result is
-        empty.  Without banned edges the sweep runs once per (start,
-        direction) and later queries share its frozen result.
+        empty.
         """
         banned = frozenset(banned)
-        if not banned and (start, forward) in self._reach:
-            return self._reach[start, forward]
         if start in banned:
             return frozenset()
         seen, stack, step = {start, *banned}, [start], self.succ if forward else self.pred
@@ -234,10 +230,7 @@ class Scenario:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if banned:
-            return frozenset(seen - banned)
-        hit = self._reach[start, forward] = frozenset(seen)
-        return hit
+        return frozenset(seen - banned)
 
     def connects(self, src: int, dst: int, banned: Iterable[int] = ()) -> bool:
         """True when a directed path of edges leads from src to dst."""

@@ -160,11 +160,11 @@ class Field:
         return lower(r)
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse: a^(2^m - 2) off the tables, else extended Euclid."""
+        """Multiplicative inverse: x^(-log a) off the tables, else extended Euclid."""
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
         if self.exp is not None:
-            return self.pow(a, self.order - 2)
+            return self.exp[-self.log[a] % (self.order - 1)]
         # Over GF(2)[x], keeping g * a = u and h * a = v modulo poly while
         # the larger of u, v loses its leading term; u reaches 1.
         u, v, g, h = a, self.poly, 1, 0
@@ -177,6 +177,9 @@ class Field:
         return g
 
     def div(self, a: int, b: int) -> int:
+        if self.exp is not None and b:  # a zero numerator lands in exp's zeros
+            n = self.order - 1
+            return self.exp[self.log[a] + (n - self.log[b]) % n]
         return self.mul(a, self.inv(b))
 
     def scale(self, gains: Sequence[int], blocks: Sequence[Sequence[int]]) -> List[int]:

@@ -9,13 +9,12 @@ along the path (a k-edge path contributes k-1 coefficients).
 
 Edges are `Scenario` indices, which are topological positions.  `_sweep`
 runs that recurrence in index order over a compiled program ((pred, pair
-position) per edge), one lane after another in one call.  A lane starts
-just after its earliest source, which may be any edge; any later source
-must have no predecessor.  `session_transfer_matrix` runs three
-single-source lanes on `Scenario.sender_programs`, `propagate` one lane on
-`Scenario.program` carrying the three sender injections, and
-`transfer_values` one lane from any single edge.  Every numeric transfer
-value in the package comes from it.  `oracle_transfer_poly` instead enumerates
+position) per edge), one lane after another in one call; a lane is fed at
+sender edges and read at the three receiver edges.
+`session_transfer_matrix` runs three single-source lanes on
+`Scenario.sender_programs` and `propagate` one lane on `Scenario.program`
+carrying the three sender injections.  Every numeric transfer value in the
+package comes from it.  `oracle_transfer_poly` instead enumerates
 paths and returns m(src, dst) as an exact sparse polynomial over GF(2), its
 variables keyed by edge-id pairs; it shares none of the recurrence and is
 the slow route the tests trust.  Monomials with equal variable sets cancel
@@ -86,61 +85,45 @@ class CodingAssignment:
 
 
 def _sweep(x: CodingAssignment, field: Field,
-           lanes: Sequence[Tuple[Program, Sequence[Tuple[int, int]]]]) -> List[List[int]]:
-    """The recurrence of `transfer_values`, once per (program, sources) lane.
+           lanes: Sequence[Tuple[Program, Sequence[Tuple[int, int]]]]) -> List[int]:
+    """Each (program, sources) lane's values at the receiver edges, lane after lane.
 
-    A lane injects each (edge, value) of `sources` and runs `program` in
-    index order from just after its earliest source, which may be any edge;
-    edges with no predecessor are skipped, so every later source must have
-    none (sender edges never do) or its value is overwritten.  Returns each
-    lane's values by edge as logs (zero as the sentinel; a product is one
-    `exp` lookup), or above 2^16 lifted (an edge's products are XORed, then
-    settled once).
+    A lane injects each (edge, value) of `sources`, all sender edges, and
+    runs `program` over every edge in index order; edges with no
+    predecessor, the senders among them, keep what they hold.  Values
+    run as logs (zero as the sentinel; a product is one `exp` lookup), or
+    above 2^16 lifted (an edge's products are XORed, then settled once),
+    and come back as field elements, tau_1..tau_3 per lane.
     """
     coeffs = x.operands(field)
     exp, log = field.exp, field.log
     if exp is not None:
-        zero, into = log[0], log.__getitem__
+        zero, into, back = log[0], log.__getitem__, exp.__getitem__
     else:
-        into, settle, _ = field.lifted
+        into, settle, back = field.lifted
         zero = 0
+    receivers = x.scenario.receivers
     out = []
     for program, sources in lanes:
         lane = [zero] * len(program)
         for e, v in sources:
             lane[e] = into(v)
         if exp is not None:
-            for t in range(min(sources)[0] + 1, len(program)):
-                row = program[t]
+            for t, row in enumerate(program):
                 if row:
                     a = 0
                     for p, k in row:
                         a ^= exp[coeffs[k] + lane[p]]
                     lane[t] = log[a]
         else:
-            for t in range(min(sources)[0] + 1, len(program)):
-                row = program[t]
+            for t, row in enumerate(program):
                 if row:
                     a = 0
                     for p, k in row:
                         a ^= coeffs[k] * lane[p]
                     lane[t] = settle(a) if a else 0
-        out.append(lane)
+        out += [back(lane[t]) for t in receivers]
     return out
-
-
-def _plain(field: Field):  # from `_sweep`'s form back to field elements
-    return field.exp.__getitem__ if field.exp is not None else field.lifted[2]
-
-
-def transfer_values(sc: Scenario, x: CodingAssignment, field: Field, src: int) -> Dict[int, int]:
-    """The gains m(src, e) of every edge e, omitting those that are zero.
-
-    One lane of `_sweep` from src, which may be any edge: src carries 1 and
-    every later edge sum x_{e'e} m(src, e') over the edges e' into its tail.
-    """
-    lane, = _sweep(x, field, [(sc.program, ((src, 1),))])
-    return {e: v for e, v in enumerate(map(_plain(field), lane)) if v}
 
 
 def propagate(sc: Scenario, x: CodingAssignment, field: Field,
@@ -148,19 +131,16 @@ def propagate(sc: Scenario, x: CodingAssignment, field: Field,
     """Push one slot's symbols through the network by local updates only.
 
     Injects injected[j-1] on sigma_j and sweeps the per-node combinations in
-    topological order, one lane of `_sweep` with three sources (sender
-    edges, which have no predecessor), and returns the three tau values;
-    it never reads a transfer function.
+    topological order, one lane of `_sweep` with three sources, and returns
+    the three tau values; it never reads a transfer function.
     """
-    lane, = _sweep(x, field, [(sc.program, tuple(zip(sc.senders, injected)))])
-    return tuple(map(_plain(field), [lane[t] for t in sc.receivers]))
+    return tuple(_sweep(x, field, [(sc.program, zip(sc.senders, injected))]))
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
     """All nine m_ji at one assignment: one sweep, lane j on what sigma_j reaches."""
-    lanes = _sweep(x, field, [(prog, ((t, 1),)) for prog, t in zip(sc.sender_programs, sc.senders)])
-    values = map(_plain(field), [lane[t] for lane in lanes for t in sc.receivers])
-    return dict(zip(SESSION_PAIRS, values))
+    lanes = [(prog, ((t, 1),)) for prog, t in zip(sc.sender_programs, sc.senders)]
+    return dict(zip(SESSION_PAIRS, _sweep(x, field, lanes)))
 
 
 def path_count(sc: Scenario, src: int, dst: int) -> int:

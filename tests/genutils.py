@@ -9,9 +9,10 @@ The library names an edge by its index (its topological position) and the
 file by its id; `index_of` and `edge_ids` translate, and the oracles read
 the raw (id, tail, head) list through that translation, so they answer in
 indices too and "topologically last" is the largest index.
-The exception is two small readers, `transfer` and `evaluate_ratio`, which
-take single values off the library's own sweep for tests that need them;
-`RATIOS` writes the four diagnostic ratios out as the reference table.
+`transfer_gains` runs the transfer recurrence on the raw edge list, one
+`Field.mul` per adjacent pair; the one exception is `evaluate_ratio`,
+which reads the library's `session_transfer_matrix`, and `RATIOS` writes
+the four diagnostic ratios out as the reference table.
 The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
 multiply through `Field.mul` one entry at a time; `receiver_system` stacks
 them into the block layout that `pbna._receiver` builds in one pass.
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from netalign.dag import Scenario, serialize_scenario
 from netalign.gf2m import InconsistentSystemError, Matrix
-from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix, transfer_values
+from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
 
@@ -360,7 +361,7 @@ def ref_decode(es, i, y):
     return z[first:]
 
 
-# -- single values read off the library sweep ---------------------------------
+# -- reference transfer values and ratios -------------------------------------
 
 
 # The diagnostic ratios as (numerator, denominator) pairs of m_ji factors:
@@ -374,9 +375,24 @@ RATIOS = {
 }
 
 
+def transfer_gains(sc, x, field, src):
+    """m(src, e) at one assignment for every edge e, by the recurrence itself.
+
+    src carries 1, and each later edge, by index, the sum of x_{e'e} m(src, e')
+    over its predecessors e' in the raw edge list: one `Field.mul` per
+    adjacent pair.  Edges before src get 0.
+    """
+    back, ids = edge_adjacency_back(sc), sc.ids
+    gains = dict.fromkeys(range(len(ids)), 0)
+    gains[src] = 1
+    for e in range(src + 1, len(ids)):
+        gains[e] = reduce(xor, (field.mul(x[ids[p], ids[e]], gains[p]) for p in back[e]), 0)
+    return gains
+
+
 def transfer(sc, x, field, src, dst):
     """m(src, dst) at one assignment."""
-    return transfer_values(sc, x, field, src).get(dst, 0)
+    return transfer_gains(sc, x, field, src)[dst]
 
 
 def evaluate_ratio(sc, x, field, ratio):

@@ -204,6 +204,28 @@ def test_mul_pow_inv_match_reference_arithmetic(m):
                                       for g, block in zip(gains, blocks) for v in block]
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_table_inv_and_div_are_lookups(m, monkeypatch):
+    # below 2^17 inv and div read exp at a log difference: no pow, no mul,
+    # and a zero numerator lands on exp's zeros
+    f, p = Field(m), IRREDUCIBLE_POLY[m]
+
+    def banned(*args):
+        raise AssertionError("table inv/div go through pow or mul")
+
+    monkeypatch.setattr(Field, "pow", banned)
+    monkeypatch.setattr(Field, "mul", banned)
+    rng = random.Random(200 + m)
+    for b in [1, 1 << (m - 1), f.order - 1] + [rng.randrange(1, f.order) for _ in range(50)]:
+        inv = f.inv(b)
+        assert poly_mod(clmul(b, inv), p) == 1
+        assert f.div(0, b) == 0
+        a = rng.randrange(f.order)
+        assert f.div(a, b) == poly_mod(clmul(a, inv), p)
+    with pytest.raises(ZeroInverseError):
+        f.div(0, 0)
+
+
 @pytest.mark.parametrize("m", range(17, 33))
 def test_euclid_inverse_matches_power(m):
     # above 2^16 inv runs extended Euclid, and a^(2^m - 2) is the inverse

@@ -18,6 +18,7 @@ from genutils import (
     random_scenario,
     scenarios,
     transfer,
+    transfer_gains,
 )
 from netalign import load_corpus
 from netalign.gf2m import Field, field
@@ -34,7 +35,6 @@ from netalign.xfer import (
     path_count,
     session_transfer_matrix,
     square_term_coefficients,
-    transfer_values,
 )
 
 
@@ -161,29 +161,30 @@ def test_fast_evaluator_matches_oracle():
 @settings(max_examples=80, deadline=None, database=None)
 @given(scenarios(), st.data())
 def test_single_sweep_matches_oracle(sc, data):
+    # the reference recurrence of the tests, from any edge to every edge
     f = field(data.draw(st.sampled_from([1, 4, 16, 17, 32])))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     x = CodingAssignment.random(sc, f, rng)
     ids = range(len(sc.edges))
     src = data.draw(st.sampled_from(ids))  # any edge, with predecessors or not
-    gains = transfer_values(sc, x, f, src)
+    gains = transfer_gains(sc, x, f, src)
     for dst in ids:
-        assert gains.get(dst, 0) == oracle_transfer_poly(sc, src, dst).evaluate(f, x)
+        assert gains[dst] == oracle_transfer_poly(sc, src, dst).evaluate(f, x)
 
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(scenarios(), st.data())
 def test_one_pass_gains_match_single_sweeps_and_oracle(sc, data):
-    # the three sender gains of one pass are the single-source sweeps'
+    # the three sender lanes of one sweep give the reference recurrence's
     # values at the receivers, and those are the oracle's polynomials
     f = field(data.draw(st.sampled_from([1, 4, 16, 17, 32])))
     x = CodingAssignment.random(sc, f, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     m = session_transfer_matrix(sc, x, f)
     for j in (1, 2, 3):
-        gains = transfer_values(sc, x, f, sc.sigma(j))
+        gains = transfer_gains(sc, x, f, sc.sigma(j))
         for i in (1, 2, 3):
             want = oracle_transfer_poly(sc, sc.sigma(j), sc.tau(i)).evaluate(f, x)
-            assert m[(j, i)] == gains.get(sc.tau(i), 0) == want
+            assert m[(j, i)] == gains[sc.tau(i)] == want
 
 
 @pytest.mark.parametrize("m", range(1, 33))
