@@ -10,6 +10,7 @@ too large for the symbolic oracle.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -170,6 +171,7 @@ FIELD_BITS = _bounded_int(1, 32)
 POSITIVE = _bounded_int(1)
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netalign",

@@ -12,10 +12,10 @@ exponent of a, zero's log is the sentinel z = 2^(m+1) - 3, and `exp` holds
 x^i below z and zeros from z to 2z, so exp[log a + log b] = a*b, zero
 included, with no branch.  Both are arrays of machine integers (1.1 MB at
 m = 16), small enough to stay in cache better than lists of int objects.
-Larger fields lift elements (bit k to bit 8k of an int): one integer multiply
-then leaves the carry-less product in bit 0 of each byte, XOR still adds,
-and `Field.lifted` lets sums of many products be reduced once (settled)
-and gathered back (lowered).
+Larger fields lift elements (bit k to bit 8k of an int, one table read per
+byte): one integer multiply then leaves the carry-less product in bit 0 of
+each byte, XOR still adds, and `Field.lifted` lets sums of many products be
+reduced once (settled) and gathered back (lowered, bytes read as digits).
 Inversion reads the tables up to 2^16; above, it is the extended Euclidean
 algorithm over GF(2)[x] on plain ints, a few dozen shift-and-xor steps.
 
@@ -28,6 +28,7 @@ copy.  Above 2^16 rows are lifted once and stay lifted through both passes.
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from itertools import islice, repeat
 from typing import List, Sequence, Tuple
 
@@ -81,8 +82,10 @@ IRREDUCIBLE_POLY = {
 
 _TABLE_LIMIT = 16  # largest m for which exp/log tables are built
 
-# Byte b with bit k moved to bit 8k.
-_SPREAD = [int.from_bytes(bytes((b >> k) & 1 for k in range(8)), "little") for b in range(256)]
+# Byte b with bit k moved to bit 8k, shifted for byte j of an element.
+_SPREADS = [[int.from_bytes(bytes(b >> k & 1 for k in range(8)), "little") << 64 * j
+             for b in range(256)] for j in range(4)]
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _tables(m: int, poly: int) -> Tuple[array, array]:
@@ -101,23 +104,28 @@ def _tables(m: int, poly: int) -> Tuple[array, array]:
 
 
 def _lifted_kernel(m: int, poly: int):
-    """(lift, settle, lower) of GF(2^m) in lifted form, m in 17..32."""
-    ones, shift = int.from_bytes(b"\x01" * 2 * m, "little"), 8 * m
+    """(lift, settle, lower) of GF(2^m) in lifted form, m in 17..32.
 
-    def lift(a, s=_SPREAD):
-        return s[a & 255] | s[a >> 8 & 255] << 64 | s[a >> 16 & 255] << 128 | s[a >> 24] << 192
+    `lift` ORs four pre-shifted byte-table reads; `lower` reads the m bytes
+    as binary digits.  `settle` folds the bytes from m on down twice by x^m =
+    r modulo poly, r of degree d with w <= 7 terms: degree 2m - 2 falls to
+    m - 2 + d, then 2d - 2 < m.  The first fold's bytes stay below 8 unmasked,
+    so the second multiply cannot carry.
+    """
+    low, shift = int.from_bytes(b"\x01" * m, "little"), 8 * m
 
-    folded = lift(poly ^ (1 << m))  # x^m modulo poly
+    def lift(a, s0=_SPREADS[0], s1=_SPREADS[1], s2=_SPREADS[2], s3=_SPREADS[3]):
+        return s0[a & 255] | s1[a >> 8 & 255] | s2[a >> 16 & 255] | s3[a >> 24]
+
+    folded = lift(poly ^ (1 << m))  # r = x^m modulo poly
 
     def settle(v):
         """Parity bits of a XOR of lifted products, reduced below degree m."""
-        v &= ones
-        while high := v >> shift:  # at most twice for every built-in polynomial
-            v ^= high << shift ^ (high * folded & ones)
-        return v
+        v = v & low ^ (v >> shift & low) * folded
+        return (v ^ (v >> shift) * folded) & low
 
-    def lower(v):  # each byte's hex digits are "00" or "01"
-        return int(v.to_bytes(m, "big").hex()[1::2], 2)
+    def lower(v):
+        return int(v.to_bytes(m, "big").translate(_DIGITS), 2)
 
     return lift, settle, lower
 
@@ -284,11 +292,7 @@ class Matrix:
         return (z if exp is not None else list(map(lower, z))), pivots
 
 
-_FIELD_CACHE: dict = {}
-
-
+@cache
 def field(m: int) -> Field:
     """Shared Field instance per degree (tables are built once)."""
-    if m not in _FIELD_CACHE:
-        _FIELD_CACHE[m] = Field(m)
-    return _FIELD_CACHE[m]
+    return Field(m)

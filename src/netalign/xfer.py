@@ -21,7 +21,7 @@ the slow route the tests trust.  Monomials with equal variable sets cancel
 in pairs, matching characteristic-2 arithmetic.  Over GF(2^m) with m <= 16
 the sweep's products are `exp` lookups on logs, each assignment's
 coefficients converted to logs once for all its sweeps; above that they are
-lifted products, settled once per edge (see `gf2m`).
+lifted products settled once per edge (see `gf2m`), as in identity sides.
 
 The nine session-to-session transfer functions m_ji (sender edge of session
 j to receiver edge of session i) combine into diagnostic ratios
@@ -39,6 +39,8 @@ the same table drives the exact oracle and the randomized point tests; its
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
+from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dag import Scenario
@@ -337,14 +339,20 @@ def identity_degree_bound(sc: Scenario, name: str) -> int:
 
 
 def evaluate_identity_sides(name: str, m: Dict[SessionPair, int], field: Field) -> Tuple[int, int]:
-    """Evaluate both cleared sides of an identity from the nine m_ji values."""
+    """Both cleared sides of an identity from the nine m_ji, lowered once each above 2^16."""
     lhs, rhs = COUPLING_IDENTITIES[name]
+    if field.exp is not None:
+        return tuple(reduce(xor, [pair_product(field, m, p) for p in side]) for side in (lhs, rhs))
+    lift, settle, lower = field.lifted
 
     def side(products: Products) -> int:
         acc = 0
-        for prod in products:
-            acc ^= pair_product(field, m, prod)
-        return acc
+        for first, *rest in products:
+            term = lift(m[first])
+            for pair in rest:
+                term = settle(term * lift(m[pair]))
+            acc ^= term
+        return lower(acc)
 
     return side(lhs), side(rhs)
 

@@ -253,6 +253,8 @@ def test_resample_limit_exit_code(tmp_path, capsys, monkeypatch):
 GUARD_COMMANDS = {
     "cross_check_32": ["classify", "--cross-check", "--field-bits", "32"],
     "cross_check_8": ["classify", "--cross-check", "--field-bits", "8"],
+    # lifted sweeps and identity sides at an odd degree
+    "cross_check_17": ["classify", "--cross-check", "--field-bits", "17"],
     "simulate_50": ["simulate", "--trials", "50"],
     # lifted elimination and the Euclid inverse
     "simulate_20_n2": ["simulate", "--trials", "20", "--field-bits", "20", "--n", "2"],
@@ -298,6 +300,7 @@ GUARD_DIGESTS = {
     "eta_one_corridor": {
         "cross_check_32": "34bd207364fb52c120d5db8aa2289d488269c202145e988cb4d3971fec77bc97",
         "cross_check_8": "48f6ac3e36672103e8de27f8fbaefc911c3aaef7b4a3165a0d5d1c7158e00977",
+        "cross_check_17": "f91332fa911dc1485a2f65ebdf3c03457fa63b9b864452cee1bed0de4f433872",
         "simulate_50": "f2efc261552588c5185d4bae7ce4624f5c2997b940e99bf84b9dd8799bbabcf3",
         "simulate_20_n2": "1c2bcb1c4f68c9d088ef01d0f6dd1b7146fe6b48c83deee0fbb84dea67b19281",
         "simulate_4": "ec96bc4fc1419257dd27509ac37d0ff96efa244abe3103ef8bf5c07b4a787047",
@@ -305,6 +308,7 @@ GUARD_DIGESTS = {
     "m21_dead": {
         "cross_check_32": "5c2d493a5d38209b09167eafbff77b939103c6193cfb218d968284c014d0e50b",
         "cross_check_8": "7b0f5ebf8c11004a86fcbcc07056253afaddf418b4eb722e84e5dc934c63ffc4",
+        "cross_check_17": "1f973b3c30c6bb43fef288e438aee5cca43dc5e386315e187081fb2392aeb4d7",
         "simulate_50": "147f7a4469b62b8aeb1a35aee54e2a719dc9c7c8e1abd1d947fce8ab61ebf821",
         "simulate_20_n2": "987be51363c16604db44a2a4f482613b732f76c40e95010c98730319cd45a6be",
         "simulate_4": "dca615d1f29923be37b7c46e2e7160fd9e1bb7b4cc1a5cceab16aa24384a0dbd",
@@ -312,6 +316,7 @@ GUARD_DIGESTS = {
     "rich_type3": {
         "cross_check_32": "d40f3b08b45a2b5486a41a3e864f96e9fdeea075f1996c22e13ad93e845c69e5",
         "cross_check_8": "4476c2756202bbb3453a646161e34fce77931bb7c297043aee69b602963fe5f2",
+        "cross_check_17": "cde6468905338983b39995c8a737b2c1e6c0b262738bac41d1c49551c907d33f",
         "simulate_50": "07a31642c04e5bb857bd799c545e702d0312d16fc5be0a783fbad128b5c3edd3",
         "simulate_20_n2": "091f0033fe30b11c0dbf9d63b140cf814d356b60e5096c6281c36950ce8181ca",
         "simulate_4": "d018ab3080b775fa30cd64bbbeb809f9d86c940bb54a4c335c0591386ca17f74",
@@ -319,6 +324,7 @@ GUARD_DIGESTS = {
     "shared_bottleneck": {
         "cross_check_32": "b22c298e3b575632ec40f10460769d7dd0c263d3ad2909680a260067188ca00f",
         "cross_check_8": "bca9b8187c4795f50b7e6137147475f04b93c78848a9cc5827928bdd84fce99e",
+        "cross_check_17": "1c049cc56aff57b62fa378f2b2ca1ff4e1e6d7472219dfa5753320e849b2be4f",
         "simulate_50": "eeeadcf903136ec3f726d069a1dafc31f0aa6cbc066e05358f01d54f554f3011",
         "simulate_20_n2": "982d2b94c41a940110b7d7f5548a5ee79a9751ab820243a9a8280fcbea3c98ff",
         "simulate_4": "a455d81cdd76e528e6233008dcec52ab16833017222d0cbe0dbcfd49e1974a72",
@@ -326,6 +332,7 @@ GUARD_DIGESTS = {
     "three_disjoint": {
         "cross_check_32": "93de0d3f5243a25d8879fbcb51c7b96acd2ac08bd5baed202cf43dc5ca04f8a1",
         "cross_check_8": "7f875a5231d608a6d9ac0fe428a64cf90c436000cb6c66c93c6685c508febb5d",
+        "cross_check_17": "19a72099dc2e5fada3ca32ec32c9844ec4eae79bb673a46c1eac6b5531f2588b",
         "simulate_50": "32b40d52bfa877fcc58e762756a73f48a159900b9fbd8dc085a4ac3eaa8ec05a",
         "simulate_20_n2": "08e4db6fb1580c566f136c32cee14667b47c2d66caceded47be5f69c88c1141b",
         "simulate_4": "0d994e2658015d8be9f8db12b4b73228918b1561f5c9199299ae1777501589a8",
@@ -333,6 +340,7 @@ GUARD_DIGESTS = {
     "two_corridor": {
         "cross_check_32": "e2b61de9b5015269e7868fcd81cbf7bfb9d89618800c7ae4e1cbb65d153c2531",
         "cross_check_8": "cfa810f4e093e6784a725743be5efba6eb1f93113ac3aaaae3bf6e69af363a21",
+        "cross_check_17": "3c21d3a1da7a399be2ff6b4a82c6a1580fe7902abe0a574cc78af1387dfedbd5",
         "simulate_50": "211235a95936875b01456270830750670dd7d609ba46c65f2c5fae09e0b4db50",
         "simulate_20_n2": "54b8cdb883d7b96aed52a9169ea2388cbcc07d9465e4c91136422aac79d4c639",
         "simulate_4": "088daa9ab1b8f38c8c16ddc36c3bd1581a787404d6f068795e49baedb6dd4382",
@@ -340,6 +348,7 @@ GUARD_DIGESTS = {
     "type_two_gadget": {
         "cross_check_32": "b29428bc9c4bd41bb19262107e89dbf3add686bf431affea6a91f7ccd5e3a02c",
         "cross_check_8": "d7149177053cf91a8f4434ef7d5264118153da265734b9ecfb84a2a2598df4dd",
+        "cross_check_17": "dfe96ea36a14951321cb6ebff1b086155dee2f9b964a3362dc7ea26633ecdd16",
         "simulate_50": "899056347ca148f00f4bd7f40fc767babea3220c7ccba699137f43f2fb6986f9",
         "simulate_20_n2": "2bfd9420a94f456c08dc7a55b294405729f1d4f31888bcf8b8fcfa55511cdc66",
         "simulate_4": "07dbfe30ea675ce9f01d61ae359775f53981e305592d72b19f1cf8f51e000f4c",

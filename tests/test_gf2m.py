@@ -236,6 +236,32 @@ def test_euclid_inverse_matches_power(m):
         assert 0 < f.inv(a) < f.order
 
 
+@pytest.mark.parametrize("m", range(17, 33))
+def test_lifted_kernel_round_trips_and_settles_to_reference(m):
+    # lower undoes lift, and settle reduces a XOR of up to eight lifted
+    # products to the lifted clmul/poly_mod reference; all-ones operands
+    # fill every byte of the product and take the most folds
+    f, p = Field(m), IRREDUCIBLE_POLY[m]
+    lift, settle, lower = f.lifted
+    r = p ^ 1 << m
+    # settle's second fold lands below x^m, and its unmasked first fold
+    # leaves bytes below 8
+    assert 2 * (r.bit_length() - 1) - 2 < m and bin(r).count("1") <= 7
+    rng = random.Random(300 + m)
+    for a in [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(100)]:
+        assert lower(lift(a)) == a
+    full = [(f.order - 1, f.order - 1)] * 8
+    for k in range(1, 9):
+        for pairs in [full[:k]] + [[(rand(f, rng), rand(f, rng)) for _ in range(k)]
+                                   for _ in range(20)]:
+            v = want = 0
+            for a, b in pairs:
+                v ^= lift(a) * lift(b)
+                want ^= poly_mod(clmul(a, b), p)
+            assert settle(v) == lift(want)
+            assert lower(settle(v)) == want
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_tables_match_reference_at_zero_and_sentinel_edges(m):
     # log[0] is the sentinel z; exp is x^i below z and zero from z to 2z, so

@@ -1,6 +1,8 @@
 """Transfer functions: fast evaluator vs symbolic oracle, ratios, identities."""
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -336,9 +338,11 @@ def test_identity_degree_bound():
                 assert term.degree() <= bound
 
 
-def test_identity_sides_match_symbolic_evaluation():
+@pytest.mark.parametrize("m", (16, 17, 32))
+def test_identity_sides_match_symbolic_evaluation(m):
+    # table products below 2^17, lifted ones settled and lowered per side above
     rng = random.Random(71)
-    f = field(16)
+    f = field(m)
     for _ in range(10):
         sc = random_connected_scenario(rng)
         polys = oracle_session_polys(sc)
@@ -354,6 +358,28 @@ def test_identity_sides_match_symbolic_evaluation():
                         term = term * polys[pair]
                     acc = acc + term
                 assert acc.evaluate(f, x) == side_val
+
+
+def test_wide_identity_sides_call_no_mul(monkeypatch):
+    # above 2^16 identity products stay lifted: sides equal the
+    # pair_product sums, and no factor passes Field.mul
+    sc = load_corpus("rich_type3")
+    f = Field(32)
+    rng = random.Random(9)
+    points = [session_transfer_matrix(sc, CodingAssignment.random(sc, f, rng), f)
+              for _ in range(5)]
+    points.append(dict.fromkeys(points[0], f.order - 1))
+    want = [{name: tuple(reduce(xor, (pair_product(f, m, prod) for prod in side), 0)
+                         for side in sides)
+             for name, sides in COUPLING_IDENTITIES.items()} for m in points]
+
+    def no_mul(self, a, b):
+        raise AssertionError("lifted identity sides multiply in lifted form")
+
+    monkeypatch.setattr(Field, "mul", no_mul)
+    for m, sides in zip(points, want):
+        for name in COUPLING_IDENTITIES:
+            assert evaluate_identity_sides(name, m, f) == sides[name], name
 
 
 # -- square-term property ---------------------------------------------------------
