@@ -68,6 +68,7 @@ class Scenario:
     its head and entering its tail; `out_edges[v]` and `in_edges[v]` are the
     edges leaving and entering node v.  Every such list is in id order, and
     a node's out-edges are consecutive, so `out_edges[v]` is a range.
+    `program` and `factored` are the transfer sweeps `xfer._sweep` runs.
     """
 
     def __init__(self, nodes: Iterable[str], ids: Sequence[int], tails: Sequence[str],
@@ -194,24 +195,69 @@ class Scenario:
         return sum(len(ins) * len(outs) for ins, outs in zip(self.in_edges, self.out_edges))
 
     @cached_property
-    def program(self) -> List[Tuple[Tuple[int, int], ...]]:
-        """For each edge, (pred, pair position in `pairs`) per predecessor."""
-        rows = [()] * len(self.ids)
-        base = 0
+    def program(self) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """One lane's sweep over the E edge values, then the `pairs` values:
+        (edge, ((pred, E + pair position), ...)) per edge with a predecessor."""
+        rows, base = [()] * len(self.ids), len(self.ids)
         for ins, outs in zip(self.in_edges, self.out_edges):
             # The pair of ins[a] and outs[b] sits at base + a * len(outs) + b.
             n = len(outs)
             for b, e in enumerate(outs):
                 rows[e] = tuple(zip(ins, range(base + b, base + n * len(ins), n)))
             base += n * len(ins)
-        return rows
+        return [(e, row) for e, row in enumerate(rows) if row]
 
     @cached_property
-    def sender_programs(self):
-        """`program` once per sender edge, on the edges it reaches (its dominator tree)."""
-        return tuple([tuple((p, k) for p, k in row if idom[p] >= 0) if idom[e] >= 0 else ()
-                      for e, row in enumerate(self.program)]
-                     for idom in map(self.dominators, self.senders))
+    def factored(self):
+        """The nine m_ji as one sweep, split at the edges all sender paths share.
+
+        top[e] is the first edge every sender-to-e path passes; a sender
+        edge, a receiver and an edge whose reachable predecessors have
+        several tops are their own, the top edges.  So m(sigma_j, e) =
+        m(sigma_j, top[e]) g[e] with g[e] = m(top[e], e).  The values are a
+        gain lane over the E edges, the coefficients, the slots and a lane
+        per sender over the E edges.  Fed 1 at `feeds` (the top edges, each
+        lane's sender), the gain lane gets g and, per top edge t and top u
+        of its predecessors, a slot: the sum of x_pt g[p] over those p, or
+        x_ut itself, unswept, when p = u (then the only one).  Lane j sets
+        m(sigma_j, t) = sum over u of m(sigma_j, u) times that, at the top
+        edges it reaches only.  Returns (tail, feeds, program, reads): `tail`
+        positions follow the coefficients, `reads` hold m_11 .. m_33.
+        """
+        count = len(self.ids)
+        top, reach = [-1] * count, [0] * count
+        for j, s in enumerate(self.senders):
+            top[s], reach[s] = s, 1 << j
+        feeds, program, targets = list(self.senders), [], []
+        slot = count + self.pair_count  # the next slot's position
+        for e, row in self.program:
+            row = tuple([pk for pk in row if top[pk[0]] >= 0])
+            ups = {top[p] for p, _ in row}
+            for p, _ in row:
+                reach[e] |= reach[p]
+            if len(ups) == 1 and e not in self.receivers:
+                top[e] = ups.pop()
+                program.append((e, row))
+            elif ups:
+                top[e] = e
+                feeds.append(e)
+                terms = []
+                for u in ups:
+                    group = [pk for pk in row if top[pk[0]] == u]
+                    if group[0][0] != u:  # u itself is only ever alone
+                        program.append((slot, group))
+                        group, slot = [(u, slot)], slot + 1
+                    terms.append(group[0])
+                targets.append((e, terms))
+        for j, s in enumerate(self.senders):
+            at = slot + j * count
+            feeds.append(at + s)
+            for t, terms in targets:
+                row = tuple((at + u, k) for u, k in terms if reach[u] >> j & 1)
+                if row:
+                    program.append((at + t, row))
+        reads = [slot + j * count + t for j in range(3) for t in self.receivers]
+        return slot + 2 * count - self.pair_count, feeds, program, reads
 
     def reachable_edges(self, start: int, forward: bool = True,
                         banned: Iterable[int] = ()) -> FrozenSet[int]:

@@ -8,13 +8,13 @@ all directed paths from src to dst of the product of the coding coefficients
 along the path (a k-edge path contributes k-1 coefficients).
 
 Edges are `Scenario` indices, which are topological positions.  `_sweep`
-runs that recurrence in index order over a compiled program ((pred, pair
-position) per edge), one lane after another in one call; a lane is fed at
-sender edges and read at the three receiver edges.
-`session_transfer_matrix` runs three single-source lanes on
-`Scenario.sender_programs` and `propagate` one lane on `Scenario.program`
-carrying the three sender injections.  Every numeric transfer value in the
-package comes from it.  `oracle_transfer_poly` instead enumerates
+runs that recurrence over a compiled program of (position, row) pairs on
+one list holding lane values and coefficients.  `propagate` runs one lane
+on `Scenario.program`, fed the three sender injections; the nine m_ji run
+through the edges every sender path shares (`Scenario.factored`): a gain
+lane from those edges, then one lane per sender over them and the
+receivers only.  Every numeric transfer value in the package comes from
+it.  `oracle_transfer_poly` instead enumerates
 paths and returns m(src, dst) as an exact sparse polynomial over GF(2), its
 variables keyed by edge-id pairs; it shares none of the recurrence and is
 the slow route the tests trust.  Monomials with equal variable sets cancel
@@ -58,7 +58,7 @@ class ResampleLimitError(RuntimeError):
 
 
 Var = Tuple[int, int]  # coding coefficient x_{e e'}, keyed by the edge-id pair
-Program = Sequence[Sequence[Tuple[int, int]]]  # see `Scenario.program`
+Program = Sequence[Tuple[int, Sequence[Tuple[int, int]]]]  # (position, ((p, k), ...)), see `_sweep`
 
 
 @dataclass
@@ -81,51 +81,35 @@ class CodingAssignment:
     def operands(self, field: Field) -> List[int]:
         """The values as logs (lifted above 2^16), made once: edit no value after."""
         if self._form is None or self._form[0] is not field:
-            convert = field.log.__getitem__ if field.exp is not None else field.lifted[0]
-            self._form = (field, list(map(convert, self.values)))
+            self._form = (field, list(map(_forms(field)[1], self.values)))
         return self._form[1]
 
 
-def _sweep(x: CodingAssignment, field: Field,
-           lanes: Sequence[Tuple[Program, Sequence[Tuple[int, int]]]]) -> List[int]:
-    """Each (program, sources) lane's values at the receiver edges, lane after lane.
+def _forms(field: Field):
+    """(zero, into, back) for sweep operands: logs, or lifted above 2^16."""
+    if field.exp is not None:
+        return field.log[0], field.log.__getitem__, field.exp.__getitem__
+    return 0, field.lifted[0], field.lifted[2]
 
-    A lane injects each (edge, value) of `sources`, all sender edges, and
-    runs `program` over every edge in index order; edges with no
-    predecessor, the senders among them, keep what they hold.  Values
-    run as logs (zero as the sentinel; a product is one `exp` lookup), or
-    above 2^16 lifted (an edge's products are XORed, then settled once),
-    and come back as field elements, tau_1..tau_3 per lane.
-    """
-    coeffs = x.operands(field)
+
+def _sweep(field: Field, values: List[int], program: Program) -> None:
+    """Run `program` on a list of operands in place: each (t, row) in turn
+    sets values[t] to the sum over the row's (p, k) of values[k] values[p],
+    as `exp` lookups on logs or, lifted above 2^16, XORed and settled once."""
     exp, log = field.exp, field.log
     if exp is not None:
-        zero, into, back = log[0], log.__getitem__, exp.__getitem__
+        for t, row in program:
+            a = 0
+            for p, k in row:
+                a ^= exp[values[k] + values[p]]
+            values[t] = log[a]
     else:
-        into, settle, back = field.lifted
-        zero = 0
-    receivers = x.scenario.receivers
-    out = []
-    for program, sources in lanes:
-        lane = [zero] * len(program)
-        for e, v in sources:
-            lane[e] = into(v)
-        if exp is not None:
-            for t, row in enumerate(program):
-                if row:
-                    a = 0
-                    for p, k in row:
-                        a ^= exp[coeffs[k] + lane[p]]
-                    lane[t] = log[a]
-        else:
-            for t, row in enumerate(program):
-                if row:
-                    a = 0
-                    for p, k in row:
-                        a ^= coeffs[k] * lane[p]
-                    lane[t] = settle(a) if a else 0
-        out += [back(lane[t]) for t in receivers]
-    return out
+        settle = field.lifted[1]
+        for t, row in program:
+            a = 0
+            for p, k in row:
+                a ^= values[k] * values[p]
+            values[t] = settle(a) if a else 0
 
 
 def propagate(sc: Scenario, x: CodingAssignment, field: Field,
@@ -133,16 +117,26 @@ def propagate(sc: Scenario, x: CodingAssignment, field: Field,
     """Push one slot's symbols through the network by local updates only.
 
     Injects injected[j-1] on sigma_j and sweeps the per-node combinations in
-    topological order, one lane of `_sweep` with three sources, and returns
-    the three tau values; it never reads a transfer function.
+    topological order, one lane of `_sweep` on `Scenario.program`, and
+    returns the three tau values; it never reads a transfer function.
     """
-    return tuple(_sweep(x, field, [(sc.program, zip(sc.senders, injected))]))
+    zero, into, back = _forms(field)
+    values = [zero] * len(sc.ids) + x.operands(field)
+    for s, v in zip(sc.senders, injected):
+        values[s] = into(v)
+    _sweep(field, values, sc.program)
+    return tuple(back(values[t]) for t in sc.receivers)
 
 
 def session_transfer_matrix(sc: Scenario, x: CodingAssignment, field: Field) -> Dict[Tuple[int, int], int]:
-    """All nine m_ji at one assignment: one sweep, lane j on what sigma_j reaches."""
-    lanes = [(prog, ((t, 1),)) for prog, t in zip(sc.sender_programs, sc.senders)]
-    return dict(zip(SESSION_PAIRS, _sweep(x, field, lanes)))
+    """All nine m_ji at one assignment: one sweep of `Scenario.factored`."""
+    tail, feeds, program, reads = sc.factored
+    zero, into, back = _forms(field)
+    values, one = [zero] * len(sc.ids) + x.operands(field) + [zero] * tail, into(1)
+    for q in feeds:
+        values[q] = one
+    _sweep(field, values, program)
+    return dict(zip(SESSION_PAIRS, [back(values[q]) for q in reads]))
 
 
 def path_count(sc: Scenario, src: int, dst: int) -> int:

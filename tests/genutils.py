@@ -19,7 +19,8 @@ them into the block layout that `pbna._receiver` builds in one pass.
 `ref_rank`, `ref_solve` and `ref_decode` are the Gauss-Jordan elimination
 the library used before its forward elimination and back-substitution, kept
 as the reference they are checked against; `perturbed_type_two` draws Type II
-networks, which the other generators essentially never produce.
+networks, which the other generators essentially never produce, and
+`mesh_inflate` widens any scenario with mesh blocks that keep its verdicts.
 """
 
 import itertools
@@ -192,6 +193,37 @@ def perturbed_type_two(rng, gadget):
     sessions = [(s.index, s.sender, s.receiver) for s in gadget.sessions]
     return permute_sessions(make_scenario(triples, sessions, gadget.nodes),
                             rng.sample((1, 2, 3), 3))
+
+
+def mesh_inflate(sc, rng, shapes):
+    """`sc` with interior edges replaced by mesh blocks, its ids shuffled.
+
+    Every edge but the six session edges gets a (width, depth) shape drawn
+    from `shapes`, or stays when the draw is None.  A block runs u -> in,
+    fans out to `width` columns, passes `depth` layers in which column c
+    feeds columns c and c + 1 (mod width), fans in to `out` and ends
+    out -> v, so every path through it passes its entry and exit edges and
+    the block stands for the edge it replaces (the idea of the benchmark's
+    inflated gadgets).  A block has 2 + 2 * width * (depth + 1) edges.
+    """
+    special = {*sc.senders, *sc.receivers}
+    arcs = []
+    for k, eid in enumerate(sc.ids):
+        tail, head = sc.nodes[sc.tails[k]], sc.nodes[sc.heads[k]]
+        shape = None if k in special else rng.choice(shapes)
+        if shape is None:
+            arcs.append((tail, head))
+            continue
+        width, depth = shape
+        b = f"z{eid}"
+        arcs += [(tail, f"{b}.in"), (f"{b}.out", head)]
+        arcs += [(f"{b}.in", f"{b}.0.{c}") for c in range(width)]
+        arcs += [(f"{b}.{d}.{c}", f"{b}.{d + 1}.{(c + s) % width}")
+                 for d in range(depth) for c in range(width) for s in (0, 1)]
+        arcs += [(f"{b}.{depth}.{c}", f"{b}.out") for c in range(width)]
+    ids = rng.sample(range(1, 4 * len(arcs) + 1), len(arcs))
+    sessions = [(s.index, s.sender, s.receiver) for s in sc.sessions]
+    return make_scenario([(i, t, h) for i, (t, h) in zip(ids, arcs)], sessions)
 
 
 def layered_dag(rng, width=10, gaps=480, extra=394):

@@ -156,11 +156,18 @@ def test_index_equals_position_in_the_order():
     for _ in range(40):
         sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
         adj, back = edge_adjacency(sc), edge_adjacency_back(sc)
+        rows, count = dict(sc.program), len(sc.edges)
+        assert list(rows) == [k for k in range(count) if sc.pred[k]]
         for e in sc.edges:
             k = sc.ids.index(e.id)  # its position in the order
             assert (sc.nodes[sc.tails[k]], sc.nodes[sc.heads[k]]) == (e.tail, e.head)
             assert sorted(sc.succ[k]) == adj[k] and sorted(sc.pred[k]) == back[k]
-            assert [p for p, _ in sc.program[k]] == sc.pred[k]
+            # the sparse program lists exactly the edges with a predecessor,
+            # each coefficient at E plus its pair's position
+            row = rows.get(k, ())
+            assert [p for p, _ in row] == sc.pred[k]
+            assert [q - count for _, q in row] == [sc.pair_index[(sc.ids[p], e.id)]
+                                                  for p in sc.pred[k]]
         for s in sc.sessions:
             assert sc.ids[sc.sigma(s.index)] == s.sender_edge
             assert sc.ids[sc.tau(s.index)] == s.receiver_edge

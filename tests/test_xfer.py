@@ -5,7 +5,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from genutils import (
@@ -14,6 +14,7 @@ from genutils import (
     evaluate_ratio,
     index_of,
     make_scenario,
+    mesh_inflate,
     rand,
     random_connected_scenario,
     rand_nonzero,
@@ -189,6 +190,64 @@ def test_one_pass_gains_match_single_sweeps_and_oracle(sc, data):
             assert m[(j, i)] == gains[sc.tau(i)] == want
 
 
+GADGETS = ("shared_bottleneck", "eta_one_corridor", "rich_type3", "m21_dead",
+           "two_corridor", "type_two_gadget")
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.sampled_from(GADGETS), st.data())
+def test_factored_sweep_matches_reference_on_wide_graphs(gadget, data):
+    # inflated gadgets of 40-600 edges, most of each inside a mesh block
+    # whose entry edge several senders share; the oracle up to 60 edges and
+    # 4,096 paths per transfer function
+    shapes = data.draw(st.lists(st.one_of(st.none(), st.tuples(st.integers(1, 5),
+                                                                st.integers(0, 8))),
+                                min_size=1, max_size=3))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    sc = mesh_inflate(load_corpus(gadget), rng, shapes)
+    assume(40 <= len(sc.ids) <= 600)
+    f = field(data.draw(st.sampled_from([1, 16, 17, 32])))
+    x = CodingAssignment.random(sc, f, rng)
+    m = session_transfer_matrix(sc, x, f)
+    for j in (1, 2, 3):
+        gains = transfer_gains(sc, x, f, sc.sigma(j))
+        assert [m[(j, i)] for i in (1, 2, 3)] == [gains[sc.tau(i)] for i in (1, 2, 3)]
+    if len(sc.ids) <= 60 and max(path_count(sc, s, t) for s in sc.senders
+                                 for t in sc.receivers) <= 4096:
+        for (j, i), poly in oracle_session_polys(sc).items():
+            assert m[(j, i)] == poly.evaluate(f, x)
+
+
+# sigma_1 reaches b twice (edges 2 and 3), so top edge 5 reads a slot of two
+# members of one top; edge 4 is read raw; 10 is a receiver behind top edge 7
+# through 9; 11 and 12 come from a node no sender reaches, and so does 13
+UNEVEN = [(1, "s1", "a"), (2, "a", "b"), (3, "a", "b"), (4, "s2", "b"), (5, "b", "c"),
+          (6, "s3", "c"), (7, "c", "e"), (9, "e", "f"), (10, "f", "r1"), (8, "c", "r2"),
+          (11, "q", "b"), (12, "q", "w"), (13, "w", "r3")]
+
+
+@pytest.mark.parametrize("m", (1, 4, 16, 17, 32))
+def test_factored_sweep_on_shared_tops_and_unreached_edges(m):
+    f = field(m)
+    rng = random.Random(m)
+    for triples in (UNEVEN, CORRIDOR):
+        sc = make_scenario(triples)
+        polys = oracle_session_polys(sc)
+        for _ in range(10):
+            x = CodingAssignment.random(sc, f, rng)
+            want = {pair: poly.evaluate(f, x) for pair, poly in polys.items()}
+            assert session_transfer_matrix(sc, x, f) == want
+    sc = make_scenario(UNEVEN)
+    x = CodingAssignment(sc, [1] * sc.pair_count)
+    # every value 1: m_ji counts sigma_j-to-tau_i paths modulo 2
+    counts = {(j, i): path_count(sc, sc.sigma(j), sc.tau(i)) % 2 for j in (1, 2, 3)
+              for i in (1, 2, 3)}
+    assert session_transfer_matrix(sc, x, f) == counts
+    assert [counts[(j, 3)] for j in (1, 2, 3)] == [0, 0, 0]
+    assert counts[(1, 1)] == 0 and counts[(2, 1)] == counts[(3, 2)] == 1  # two paths from s1
+
+
 @pytest.mark.parametrize("m", range(1, 33))
 def test_random_assignment_replays_randrange(m):
     # the draws, their order and the generator's state after them are those
@@ -282,8 +341,27 @@ def test_wide_sweeps_lift_each_coefficient_once_and_call_no_mul(monkeypatch):
     monkeypatch.setattr(f, "lifted", (counted, settle, lower))
     monkeypatch.setattr(Field, "mul", no_mul)
     assert session_transfer_matrix(sc, x, f) == want
-    # every coefficient once for the three lanes, plus the 1 each lane injects
-    assert len(lifted) == len(sc.pairs) + 3
+    # every coefficient once, plus the 1 fed to every top edge and sender, lifted once
+    assert len(lifted) == len(sc.pairs) + 1
+
+
+def test_factored_sweep_settles_about_once_per_edge(monkeypatch):
+    # the three senders share the mesh block that replaces the hub, so a
+    # sweep settles each of its edges once, not once per sender lane
+    sc = mesh_inflate(load_corpus("shared_bottleneck"), random.Random(3), [(4, 20)])
+    f = Field(32)
+    x = CodingAssignment.random(sc, f, random.Random(5))
+    lift, settle, lower = f.lifted
+    settled = []
+
+    def counted(v):
+        settled.append(v)
+        return settle(v)
+
+    monkeypatch.setattr(f, "lifted", (lift, counted, lower))
+    session_transfer_matrix(sc, x, f)
+    assert len(sc.ids) == 176
+    assert len(settled) <= len(sc.ids) + 12
 
 
 def test_pointwise_ratio_identities():
