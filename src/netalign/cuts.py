@@ -48,12 +48,7 @@ class DisconnectedError(ValueError):
 
 @dataclass
 class BottleneckSet:
-    src: int
-    dst: int
     members: List[int]  # in topological order; empty when no path exists
-
-    def __contains__(self, eid: int) -> bool:
-        return eid in self.members
 
 
 def bottleneck_set(sc: Scenario, src: int, dst: int) -> BottleneckSet:
@@ -61,11 +56,11 @@ def bottleneck_set(sc: Scenario, src: int, dst: int) -> BottleneckSet:
     dst's chain in src's dominator tree, empty when src does not reach dst."""
     idom = sc.dominators(src)
     if idom[dst] < 0:
-        return BottleneckSet(src, dst, [])
+        return BottleneckSet([])
     chain = [dst]
     while chain[-1] != src:
         chain.append(idom[chain[-1]])
-    return BottleneckSet(src, dst, chain[::-1])
+    return BottleneckSet(chain[::-1])
 
 
 def _chain(sc: Scenario, src: int, dst: int) -> List[int]:

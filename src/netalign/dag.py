@@ -29,6 +29,7 @@ sender/receiver edges are pairwise distinct.
 
 from __future__ import annotations
 
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -326,7 +327,9 @@ def _digits(text: str, lineno: int, what: str) -> int:
     try:
         return int(text)
     except ValueError as exc:  # beyond int's digit limit
-        raise ScenarioParseError(f"line {lineno}: {exc}") from exc
+        raise ScenarioParseError(
+            f"line {lineno}: {what} has {len(text)} digits, more than the "
+            f"{sys.get_int_max_str_digits()} a number may have") from exc
 
 
 def _edge_ids(texts: List[str], text: str) -> List[int]:

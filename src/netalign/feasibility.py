@@ -20,12 +20,13 @@ With every sender connected to every receiver the network is then Type I
 rate 2/5) or Type III (no coupling; rate 1/2).  When some sender-receiver
 pair is disconnected the vanished transfer functions erase alignment
 constraints instead of tightening them; such networks are flagged Reduced
-and the surviving decode ratios of the two-slot scheme are tested for
-non-constancy instead.  That test is exact and graph-only too: after
+and the surviving decode ratios of the two-slot scheme must be
+non-constant instead.  That test is exact and graph-only too: after
 cancelling the transfer functions common to numerator and denominator,
 each ratio is a 2x2 cross ratio m_ac*m_bd / (m_ad*m_bc) of present
 transfer functions, which is constant (identically 1) exactly when the
-pair cut between senders {a, b} and receivers {c, d} is at most 1.  The
+pair cut between senders {a, b} and receivers {c, d} is at most 1, so
+`reduced_decode_cuts` returns just those cuts.  The
 chain of alignment constraints behind those ratios (`reduced_structure`)
 builds every precoding plan of `netalign.pbna`, reduced or not.
 
@@ -41,7 +42,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cuts import alpha_beta, alpha_edge, bottleneck_set, cut_by_pair, parallel
 from .dag import Scenario
@@ -122,9 +123,9 @@ def check_third_relation(sc: Scenario, i: int) -> bool:
     a_jik = alpha_edge(sc, j, i, k)
     if a_kij == a_jik:
         return False
-    if a_kij not in bottleneck_set(sc, sc.sigma(i), sc.tau(j)):
+    if a_kij not in bottleneck_set(sc, sc.sigma(i), sc.tau(j)).members:
         return False
-    if a_jik not in bottleneck_set(sc, sc.sigma(i), sc.tau(k)):
+    if a_jik not in bottleneck_set(sc, sc.sigma(i), sc.tau(k)).members:
         return False
     if not parallel(sc, a_kij, a_jik):
         return False
@@ -163,7 +164,6 @@ def classify(sc: Scenario) -> Tuple[CouplingReport, NetworkType]:
 
 @dataclass
 class IdentityVerdict:
-    name: str
     all_equal: bool
     trials: int
     degree_bound: int
@@ -205,8 +205,7 @@ def cross_check_verdicts(sc: Scenario, *, field_bits: int = 32, trials: int = 20
     verdicts = {}
     for name, n in used.items():
         d = identity_degree_bound(sc, name)
-        verdicts[name] = IdentityVerdict(name, name in live, n, d,
-                                         min(1.0, trials * d / f.order))
+        verdicts[name] = IdentityVerdict(name in live, n, d, min(1.0, trials * d / f.order))
     return verdicts
 
 
@@ -279,71 +278,35 @@ def reduced_structure(present: Dict[SessionPair, bool]) -> ReducedStructure:
     )
 
 
-def reduced_receiver_conditions(rs: ReducedStructure):
-    """Per-receiver decode requirement of the two-slot scheme.
+def reduced_decode_cuts(rs: ReducedStructure) -> Optional[List[Tuple[int, int, int, int]]]:
+    """The pair cuts (a, b, c, d) the two-slot scheme needs at 2; None when some m_ii is absent.
 
-    Yields (receiver, kind, payload): kind "dead" (no desired path), "free"
-    (nothing to test) or "ratio" (payload = cleared num/den pair lists that
-    must stay a non-constant ratio).  A reduced map that keeps all three
-    alignment constraints keeps all six cross pairs, so one of its m_ii is
-    missing and that receiver is dead.
+    There is one per receiver i whose first interferer j shares its base
+    block: its decode ratio m_ii g_i / (m_ji g_j), cancelled.  A reduced map
+    that keeps all three alignment constraints keeps all six cross pairs,
+    so one of its m_ii is absent.
     """
-    for i in (1, 2, 3):
-        if not rs.present[(i, i)]:
-            yield i, "dead", None
-            continue
-        interferers = [j for j in (1, 2, 3) if j != i and rs.present[(j, i)]]
-        if not interferers:
-            yield i, "free", None
-            continue
-        j = interferers[0]
-        gi_num, gi_den = rs.profile_num[i - 1], rs.profile_den[i - 1]
-        gj_num, gj_den = rs.profile_num[j - 1], rs.profile_den[j - 1]
-        if rs.base[i - 1] != rs.base[j - 1]:
-            yield i, "free", None
-            continue
-        num = ((i, i),) + gi_num + gj_den
-        den = ((j, i),) + gj_num + gi_den
-        yield i, "ratio", (num, den)
-
-
-def cross_ratio(num: Tuple[SessionPair, ...], den: Tuple[SessionPair, ...]
-                ) -> Optional[Tuple[int, int, int, int]]:
-    """Cancel a decode ratio of pair products down to m_ac*m_bd / (m_ad*m_bc).
-
-    Returns (a, b, c, d), or None when everything cancels and the ratio is
-    the constant 1.  Every ratio `reduced_receiver_conditions` yields has
-    one of these two shapes; any other is an internal error.
-    """
-    top, bottom = Counter(num), Counter(den)
-    top, bottom = top - bottom, bottom - top
-    if not top and not bottom:
+    if not all(rs.present[(i, i)] for i in (1, 2, 3)):
         return None
-    if sum(top.values()) == 2:
-        (a, c), (b, d) = sorted(top.elements())
-        if a != b and c != d and bottom == Counter([(a, d), (b, c)]):
-            return a, b, c, d
-    raise RuntimeError(f"decode ratio {num} / {den} is not a 2x2 cross ratio")
+    cuts = []
+    for i in (1, 2, 3):
+        j = next((j for j in (1, 2, 3) if j != i and rs.present[(j, i)]), None)
+        if j is None or rs.base[i - 1] != rs.base[j - 1]:
+            continue
+        top = Counter(((i, i),) + rs.profile_num[i - 1] + rs.profile_den[j - 1])
+        bottom = Counter(((j, i),) + rs.profile_num[j - 1] + rs.profile_den[i - 1])
+        (a, c), (b, d) = sorted((top - bottom).elements())
+        cuts.append((a, b, c, d))
+    return cuts
 
 
 def _classify_reduced(sc: Scenario, conn: Dict[SessionPair, bool]) -> NetworkType:
-    dead = False
-    feasible = True
-    for _, kind, payload in reduced_receiver_conditions(reduced_structure(conn)):
-        if kind == "dead":
-            dead = True
-        elif kind == "ratio":
-            # The pairs in a decode ratio are all present, so the cross ratio
-            # is a ratio of non-zero polynomials with GF(2) coefficients:
-            # constant only when identically 1, i.e. when the pair cut is 1.
-            abcd = cross_ratio(*payload)
-            if abcd is None or cut_by_pair(sc, abcd[:2], abcd[2:]) < 2:
-                feasible = False
-    if dead:
+    cuts = reduced_decode_cuts(reduced_structure(conn))
+    if cuts is None:
         # A session with no path cannot carry anything, so no positive
         # symmetric rate exists, let alone 1/2.
         return NetworkType("Reduced", Fraction(0), half_feasible=False)
-    if feasible:
+    if all(cut_by_pair(sc, abcd[:2], abcd[2:]) == 2 for abcd in cuts):
         return NetworkType("Reduced", Fraction(1, 2), half_feasible=True)
     # The three-slot one-symbol-each scheme still works whenever every
     # session has a path, so 1/3 remains achievable.

@@ -143,7 +143,7 @@ def lead_first(sc: Scenario, lead: int) -> Scenario:
 
 @dataclass
 class EvaluatedScheme:
-    """One concrete draw of a plan: assignments, free scalars, V and M values.
+    """One concrete draw of a plan: assignments, V and M values.
 
     V[0] is the full structural matrix; for TypeTwoFive sender 1 only the
     `data_cols` subset carries data symbols (all columns for other plans).
@@ -152,10 +152,8 @@ class EvaluatedScheme:
     plan: PrecodingPlan
     assignments: List[CodingAssignment]
     m_vals: Dict[SessionPair, List[int]]
-    theta: Dict[int, List[int]]
     V: Tuple[Matrix, Matrix, Matrix]
     data_cols: Tuple[Tuple[int, ...], ...]
-    eta_vals: List[Optional[int]]
     structure: ReducedStructure
     resamples: int
 
@@ -221,7 +219,6 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
 
     N = plan.N
     m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
-    eta_vals = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
 
     # Column families: one free random column per base block, or eta powers
     # (defined, as eta's denominator was resampled).
@@ -229,8 +226,9 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
         theta = {b: field.draw(rng, N) for b in sorted(set(chain.base))}
         columns = [[[v] for v in theta[b]] for b in chain.base]
     else:
-        theta, n = {}, plan.n
-        powers = [[field.pow(eta, c) for c in range(n + 1)] for eta in eta_vals]
+        n = plan.n
+        etas = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
+        powers = [[field.pow(eta, c) for c in range(n + 1)] for eta in etas]
         columns = [powers, [row[:n] for row in powers], [row[1:] for row in powers]]
     V = []
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
@@ -242,8 +240,8 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
                  else tuple(tuple(range(k)) for k in plan.k))
 
     return EvaluatedScheme(plan=plan, assignments=assignments, m_vals=m_vals,
-                           theta=theta, V=tuple(V), data_cols=data_cols,
-                           eta_vals=eta_vals, structure=chain, resamples=resamples)
+                           V=tuple(V), data_cols=data_cols, structure=chain,
+                           resamples=resamples)
 
 
 def _receiver(es: EvaluatedScheme, i: int) -> Tuple[List[List[int]], Tuple[int, int, int]]:
@@ -326,8 +324,6 @@ class SimulationResult:
     successes: int
     receiver_failures: Tuple[int, int, int]
     rates: Tuple[Fraction, Fraction, Fraction]
-    field_bits: int
-    seed: int
 
     @property
     def success_probability(self) -> float:
@@ -367,5 +363,4 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
     back = [(i - plan.lead) % 3 for i in (1, 2, 3)]  # plan position of each session
     return SimulationResult(plan=plan, trials=trials, successes=successes,
                             receiver_failures=tuple(failures[b] for b in back),
-                            rates=tuple(plan.rates[b] for b in back),
-                            field_bits=field.m, seed=seed)
+                            rates=tuple(plan.rates[b] for b in back))

@@ -206,9 +206,6 @@ class SparsePoly:
     def __len__(self):
         return len(self.monos)
 
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.monos), default=0)
-
     def evaluate(self, field: Field, x: CodingAssignment) -> int:
         acc = 0
         for mono in self.monos:
@@ -234,16 +231,15 @@ class SparsePoly:
         return f"SparsePoly({len(self.monos)} monomials)"
 
 
-def oracle_transfer_poly(sc: Scenario, src: int, dst: int,
-                         limit: int = PATH_LIMIT) -> SparsePoly:
+def oracle_transfer_poly(sc: Scenario, src: int, dst: int) -> SparsePoly:
     """m(src, dst) as an exact polynomial, by brute-force path enumeration.
 
-    Raises TooLargeError when more than `limit` paths exist.  Quadratic in
+    Raises TooLargeError when more than PATH_LIMIT paths exist.  Quadratic in
     the number of paths at worst, so only sensible for small graphs; that is
     the point, it is the independent oracle the fast route is tested against.
     """
-    if path_count(sc, src, dst) > limit:
-        raise TooLargeError(f"more than {limit} paths from edge {sc.ids[src]} to {sc.ids[dst]}")
+    if path_count(sc, src, dst) > PATH_LIMIT:
+        raise TooLargeError(f"more than {PATH_LIMIT} paths from edge {sc.ids[src]} to {sc.ids[dst]}")
     if src == dst:
         return SparsePoly.one()
     useful = sc.reachable_edges(src, forward=True) & sc.reachable_edges(dst, forward=False)

@@ -21,6 +21,9 @@ the library used before its forward elimination and back-substitution, kept
 as the reference they are checked against; `perturbed_type_two` draws Type II
 networks, which the other generators essentially never produce, and
 `mesh_inflate` widens any scenario with mesh blocks that keep its verdicts.
+`decode_ratios` writes out the Reduced decode ratios before cancelling, the
+reference for `feasibility.reduced_decode_cuts`; `degree` is a
+`SparsePoly`'s total degree, and `diamond_chain` a scenario with 2^k paths.
 """
 
 import itertools
@@ -405,6 +408,45 @@ RATIOS = {
     "p3": (((2, 1), (3, 3)), ((2, 3), (3, 1))),
     "eta": (((1, 3), (2, 1), (3, 2)), ((1, 2), (2, 3), (3, 1))),
 }
+
+
+def decode_ratios(rs):
+    """The two-slot scheme's decode ratios on a chain, before any cancelling.
+
+    One (receiver, numerator pairs, denominator pairs) per receiver i whose
+    first interferer j shares its base block: m_ii g_i over m_ji g_j, with
+    each profile's denominator cleared onto the other side.  None when some
+    m_ii is absent.
+    """
+    if not all(rs.present[(i, i)] for i in (1, 2, 3)):
+        return None
+    ratios = []
+    for i in (1, 2, 3):
+        interferers = [j for j in (1, 2, 3) if j != i and rs.present[(j, i)]]
+        if not interferers or rs.base[i - 1] != rs.base[interferers[0] - 1]:
+            continue
+        j = interferers[0]
+        ratios.append((i, ((i, i),) + rs.profile_num[i - 1] + rs.profile_den[j - 1],
+                       ((j, i),) + rs.profile_num[j - 1] + rs.profile_den[i - 1]))
+    return ratios
+
+
+def degree(poly):
+    """Total degree of a `SparsePoly`; 0 for the zero polynomial."""
+    return max((sum(e for _, e in mono) for mono in poly.monos), default=0)
+
+
+def diamond_chain(stages):
+    """A scenario whose session 1 runs through `stages` pairs of parallel
+    edges in a row, so 2^stages paths join sigma_1 to tau_1; sessions 2 and
+    3 are two-edge chains of their own."""
+    edges = [(1, "s1", "d0")]
+    for i in range(stages):
+        edges += [(len(edges) + 1, f"d{i}", f"d{i + 1}"), (len(edges) + 2, f"d{i}", f"d{i + 1}")]
+    edges.append((len(edges) + 1, f"d{stages}", "r1"))
+    for k in (2, 3):
+        edges += [(len(edges) + 1, f"s{k}", f"c{k}"), (len(edges) + 2, f"c{k}", f"r{k}")]
+    return make_scenario(edges)
 
 
 def transfer_gains(sc, x, field, src):

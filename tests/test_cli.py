@@ -12,7 +12,7 @@ import pytest
 
 import netalign
 import netalign.cli as cli
-from genutils import make_scenario
+from genutils import diamond_chain
 from netalign import build_plan, classify, corpus_names, load_corpus
 from netalign.cli import SEED_ENV, main
 from netalign.dag import serialize_scenario
@@ -132,20 +132,8 @@ def test_oracle_report(tmp_path, capsys):
 
 
 def test_oracle_refuses_exponential_graphs(tmp_path, capsys):
-    edges = [(1, "s1", "d0")]
-    eid = 2
-    for i in range(21):  # 2^21 s1-to-r1 paths
-        for _ in range(2):
-            edges.append((eid, f"d{i}", f"d{i+1}"))
-            eid += 1
-    edges.append((eid, "d21", "r1"))
-    eid += 1
-    edges += [(eid, "s2", "c2"), (eid + 1, "c2", "r2"),
-              (eid + 2, "s3", "c3"), (eid + 3, "c3", "r3")]
-    sc = make_scenario(edges, sessions=((1, "s1", "r1"), (2, "s2", "r2"),
-                                        (3, "s3", "r3")))
     path = tmp_path / "big.scn"
-    path.write_text(serialize_scenario(sc))
+    path.write_text(serialize_scenario(diamond_chain(21)))  # 2^21 s1-to-r1 paths
     assert main(["oracle", str(path)]) == 4
     assert "error:" in capsys.readouterr().err
 
@@ -201,6 +189,29 @@ def test_numbers_must_be_ascii_digits(tmp_path, capsys, line, bad):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: line ")
     assert "ASCII digits" in err and "duplicate" not in err
+
+
+@pytest.mark.parametrize("bad, what", [
+    ("edge 1 S1 hub", "edge id"),
+    ("session 2 S2 D2", "session index"),
+])
+def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys, bad, what):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter reads numbers of any length")
+    word, _, rest = bad.split(" ", 2)
+    path = tmp_path / "long.scn"
+    text = serialize_scenario(load_corpus("shared_bottleneck"))
+    path.write_text(text.replace(bad + "\n", f"{word} {'7' * 5000} {rest}\n"))
+    lineno = text.splitlines().index(bad) + 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["classify", str(path)]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert err == (f"error: line {lineno}: {what} has 5000 digits, "
+                   "more than the 4300 a number may have\n")
 
 
 def test_non_utf8_file(tmp_path, capsys):

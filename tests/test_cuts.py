@@ -47,8 +47,8 @@ def test_bottlenecks_on_shared_bottleneck():
     at = index_of(sc)
     assert bottleneck_ids(sc, 1, 5) == [1, 4, 5]
     assert bottleneck_ids(sc, 2, 7) == [2, 4, 7]
-    assert at[4] in bottleneck_set(sc, at[3], at[6])
-    assert at[1] not in bottleneck_set(sc, at[2], at[7])
+    assert at[4] in bottleneck_set(sc, at[3], at[6]).members
+    assert at[1] not in bottleneck_set(sc, at[2], at[7]).members
 
 
 def test_bottlenecks_edge_cases():

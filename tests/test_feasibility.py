@@ -9,6 +9,7 @@ import pytest
 
 from genutils import (
     brute_connects,
+    decode_ratios,
     make_scenario,
     permute_sessions,
     random_connected_scenario,
@@ -21,8 +22,7 @@ from netalign.feasibility import (
     classify,
     connectivity_map,
     cross_check_verdicts,
-    cross_ratio,
-    reduced_receiver_conditions,
+    reduced_decode_cuts,
     reduced_structure,
     report_identity_flags,
 )
@@ -190,17 +190,18 @@ def test_reduced_structure_three_disjoint():
 
 
 def test_receiver_conditions_m21_dead():
-    conds = list(reduced_receiver_conditions(network_chain("m21_dead")))
-    assert conds == [
-        (1, "ratio", (((1, 1), (3, 2)), ((3, 1), (1, 2)))),
-        (2, "ratio", (((2, 2), (1, 3)), ((1, 2), (2, 3)))),
-        (3, "ratio", (((3, 3), (1, 2)), ((1, 3), (3, 2)))),
+    rs = network_chain("m21_dead")
+    assert decode_ratios(rs) == [
+        (1, ((1, 1), (3, 2)), ((3, 1), (1, 2))),
+        (2, ((2, 2), (1, 3)), ((1, 2), (2, 3))),
+        (3, ((3, 3), (1, 2)), ((1, 3), (3, 2))),
     ]
+    assert reduced_decode_cuts(rs) == [(1, 3, 1, 2), (1, 2, 3, 2), (1, 3, 2, 3)]
 
 
 def test_receiver_conditions_all_free_when_disjoint():
-    conds = list(reduced_receiver_conditions(network_chain("three_disjoint")))
-    assert conds == [(1, "free", None), (2, "free", None), (3, "free", None)]
+    rs = network_chain("three_disjoint")
+    assert decode_ratios(rs) == [] and reduced_decode_cuts(rs) == []
 
 
 def test_all_constraints_on_a_reduced_map_leave_a_dead_receiver():
@@ -211,15 +212,15 @@ def test_all_constraints_on_a_reduced_map_leave_a_dead_receiver():
     for bits in itertools.product((False, True), repeat=9):
         present = dict(zip(PAIRS, bits))
         if all(present[(j, i)] for j, i in PAIRS if j != i) and not all(bits):
-            conds = list(reduced_receiver_conditions(reduced_structure(present)))
-            assert any(kind == "dead" for _, kind, _ in conds), present
+            assert reduced_decode_cuts(reduced_structure(present)) is None, present
             chained += 1
     assert chained == 7
     # With every pair present (the chain of the general scheme), receiver 1
-    # is left needing 1/p1 to be non-constant.
-    conds = {i: (kind, payload) for i, kind, payload
-             in reduced_receiver_conditions(reduced_structure(dict.fromkeys(PAIRS, True)))}
-    assert conds[1] == ("ratio", (((1, 1), (2, 3)), ((2, 1), (1, 3))))
+    # is left needing 1/p1 to be non-constant: p1's pair cut must be 2.
+    rs = reduced_structure(dict.fromkeys(PAIRS, True))
+    assert decode_ratios(rs)[0] == (1, ((1, 1), (2, 3)), ((2, 1), (1, 3)))
+    assert reduced_decode_cuts(rs)[0] == (1, 2, 1, 3)
+    assert feasibility.PAIR_CUT_RELATIONS["p1_is_one"] == ((1, 2), (1, 3))
 
 
 def test_dead_session_yields_rate_zero():
@@ -240,37 +241,28 @@ def test_dead_session_yields_rate_zero():
 
 
 def test_every_presence_map_cancels_to_a_cross_ratio():
-    shapes = Counter()
+    # Every decode ratio on a map with all m_ii present cancels to
+    # m_ac*m_bd / (m_ad*m_bc) of present pairs, never to a constant, and
+    # reduced_decode_cuts returns exactly those (a, b, c, d), receiver by
+    # receiver.
+    crosses = dead = 0
     for bits in itertools.product((False, True), repeat=9):
         present = dict(zip(PAIRS, bits))
-        for _, kind, payload in reduced_receiver_conditions(reduced_structure(present)):
-            if kind != "ratio":
-                continue
-            num, den = payload
+        rs = reduced_structure(present)
+        ratios, cuts = decode_ratios(rs), reduced_decode_cuts(rs)
+        if not all(present[(i, i)] for i in (1, 2, 3)):
+            assert ratios is None and cuts is None, present
+            dead += 1
+            continue
+        assert len(cuts) == len(ratios), present
+        for (_, num, den), (a, b, c, d) in zip(ratios, cuts):
             assert all(present[pair] for pair in num + den)
             top, bottom = Counter(num), Counter(den)
-            top, bottom = top - bottom, bottom - top
-            abcd = cross_ratio(num, den)
-            if abcd is None:
-                assert not top and not bottom
-                shapes["constant"] += 1
-            else:
-                a, b, c, d = abcd
-                assert a != b and c != d
-                assert top == Counter([(a, c), (b, d)])
-                assert bottom == Counter([(a, d), (b, c)])
-                shapes["cross"] += 1
-    assert shapes["cross"] > 0
-
-
-def test_cross_ratio_rejects_other_shapes():
-    assert cross_ratio(((1, 1), (2, 3)), ((2, 3), (1, 1))) is None
-    assert cross_ratio(((1, 1), (2, 3)), ((2, 1), (1, 3))) == (1, 2, 1, 3)
-    for num, den in ((((1, 1),), ((2, 1),)),
-                     (((1, 1), (2, 2)), ((1, 2), (1, 1))),
-                     (((1, 1), (1, 2)), ((1, 1), (1, 2), (3, 3)))):
-        with pytest.raises(RuntimeError):
-            cross_ratio(num, den)
+            assert top - bottom == Counter([(a, c), (b, d)]), (present, num, den)
+            assert bottom - top == Counter([(a, d), (b, c)]), (present, num, den)
+            assert a != b and c != d
+            crosses += 1
+    assert (dead, crosses) == (448, 45)
 
 
 def _product(polys, pairs):
@@ -288,11 +280,11 @@ def oracle_reduced_rate(sc):
     """
     polys = oracle_session_polys(sc)
     present = {pair: not p.is_zero() for pair, p in polys.items()}
-    if not all(present[(i, i)] for i in (1, 2, 3)):
+    ratios = decode_ratios(reduced_structure(present))
+    if ratios is None:
         return Fraction(0)
-    for _, kind, payload in reduced_receiver_conditions(reduced_structure(present)):
-        if kind == "ratio" and _product(polys, payload[0]) == _product(polys, payload[1]):
-            return Fraction(1, 3)
+    if any(_product(polys, num) == _product(polys, den) for _, num, den in ratios):
+        return Fraction(1, 3)
     return Fraction(1, 2)
 
 
@@ -350,6 +342,6 @@ def test_one_draw_serves_every_identity(monkeypatch):
         draws.clear()
         verdicts = cross_check_verdicts(load_corpus(name), trials=20, seed=0)
         assert len(draws) == expect, name
-        for v in verdicts.values():
-            assert v.trials == (20 if v.all_equal else 1), (name, v.name)
+        for key, v in verdicts.items():
+            assert v.trials == (20 if v.all_equal else 1), (name, key)
         assert {n for n, v in verdicts.items() if v.all_equal} == CORPUS_EXPECT[name][2]

@@ -24,6 +24,7 @@ from genutils import (
     transfer,
 )
 from netalign import corpus_names, load_corpus, pbna
+from netalign.dag import serialize_scenario
 from netalign.feasibility import (
     NetworkType,
     classify,
@@ -31,9 +32,11 @@ from netalign.feasibility import (
     reduced_structure,
     report_identity_flags,
 )
-from netalign.gf2m import field
+from netalign.gf2m import Field, field
 from netalign.pbna import (
     ALIGNED,
+    ETA_DEN,
+    ETA_NUM,
     UNALIGNED,
     PrecodingPlan,
     _decode,
@@ -50,6 +53,7 @@ from netalign.xfer import (
     CodingAssignment,
     ResampleLimitError,
     oracle_coupling_verdicts,
+    pair_ratio,
     session_transfer_matrix,
 )
 
@@ -59,6 +63,30 @@ F16 = field(16)
 def draw(name_or_sc, plan, seed=0):
     sc = load_corpus(name_or_sc) if isinstance(name_or_sc, str) else name_or_sc
     return evaluate_precoding(sc, plan, F16, random.Random(seed))
+
+
+def draw_columns(monkeypatch, sc, plan, rng):
+    """A draw of `plan` on `sc` and its free columns, keyed by base block.
+
+    Every `Field.draw` call of the draw is recorded: the kept and resampled
+    coding assignments, then (free-column plans only) one column of N values
+    per base block, in block order, and nothing else.
+    """
+    drawn = []
+    real = Field.draw
+
+    def recording(self, rng, count):
+        drawn.append(real(self, rng, count))
+        return drawn[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Field, "draw", recording)
+        es = evaluate_precoding(sc, plan, F16, rng)
+    blocks = sorted(set(es.structure.base)) if plan.n is None else []
+    assert len(drawn) == plan.N + es.resamples + len(blocks)
+    columns = drawn[plan.N + es.resamples:]
+    assert all(len(col) == plan.N for col in columns)
+    return es, dict(zip(blocks, columns))
 
 
 # -- plan shapes -------------------------------------------------------------------
@@ -115,7 +143,7 @@ def test_slot_values_are_transfer_functions():
                 assert es.m_vals[(j, i)][t] == want
 
 
-def test_eta_general_precoders_are_eta_powers():
+def test_eta_general_precoders_are_eta_powers(monkeypatch):
     # V_j is the plan's gain profile times its column family, whatever the
     # network: the eta-power plans pin V2 and V3 to V1 through receivers 3
     # and 2 even where the network's own chain differs (m13 is absent from
@@ -134,14 +162,14 @@ def test_eta_general_precoders_are_eta_powers():
     for sc in scs:
         for plan in plans:
             try:
-                es = evaluate_precoding(sc, plan, F16, rng)
+                es, columns = draw_columns(monkeypatch, sc, plan, rng)
             except ResampleLimitError:
                 continue  # a gain denominator is identically zero
             checked[plan.kind, sc is no_m13] += 1
             for t in range(plan.N):
                 m = {pair: vals[t] for pair, vals in es.m_vals.items()}
                 if plan.n is None:
-                    assert [v.rows[t] for v in es.V] == [[es.theta[j][t]] for j in range(3)]
+                    assert [v.rows[t] for v in es.V] == [[columns[j][t]] for j in range(3)]
                     continue
                 num = functools.reduce(F16.mul, [m[(1, 3)], m[(2, 1)], m[(3, 2)]])
                 den = functools.reduce(F16.mul, [m[(1, 2)], m[(2, 3)], m[(3, 1)]])
@@ -207,8 +235,12 @@ def test_simulate_builds_the_chain_once(monkeypatch):
 
 
 def test_eta_vals_undefined_on_disjoint_paths():
+    # eta's denominator is identically zero, yet a plan without eta powers
+    # draws all its slots without resampling
     es = draw("three_disjoint", PrecodingPlan.trivial_third(), seed=0)
-    assert es.eta_vals == [None, None, None]
+    slots = [{pair: vals[t] for pair, vals in es.m_vals.items()} for t in range(3)]
+    assert [pair_ratio(F16, m, ETA_NUM, ETA_DEN) for m in slots] == [None, None, None]
+    assert es.resamples == 0
     assert es.structure is UNALIGNED and es.reduced  # TrivialThird aligns nothing
 
 
@@ -297,6 +329,26 @@ def test_coupled_network_defeats_half_rate_plans():
             assert check_rank(es)[0] is False  # ...but swallows the signal
 
 
+def test_reduced_networks_without_half_rate_defeat_eta_one():
+    # the Reduced converse: where classify says rate 1/2 is out of reach (a
+    # dead session, or a decode ratio whose pair cut is 1), the two-slot
+    # plan built on the network's own chain fails some receiver at every draw
+    rng = random.Random(7)
+    rates = Counter()
+    while sum(rates.values()) < 400:
+        sc = random_scenario(rng)
+        report, nt = classify(sc)
+        if report.fully_connected:
+            continue
+        rates[nt.optimal_rate] += 1
+        if nt.half_feasible:
+            continue
+        for _ in range(10):
+            es = evaluate_precoding(sc, PrecodingPlan.eta_one(), F16, rng)
+            assert not all(check_rank(es)), (nt.optimal_rate, serialize_scenario(sc))
+    assert rates[Fraction(0)] >= 100 and rates[Fraction(1, 3)] >= 5, rates
+
+
 def test_rank_verdict_is_decode_outcome_for_every_pairing():
     # check_rank must say exactly which receivers recover data sent through
     # the network at the same draw, matched or mismatched plan alike;
@@ -329,7 +381,6 @@ def test_simulate_matched_plans_always_decode():
         assert res.successes == 40, name
         assert res.receiver_failures == (0, 0, 0), name
         assert res.rates == plan.rates
-        assert res.field_bits == 16 and res.seed == 1
 
 
 def test_simulate_mismatched_plan_always_fails():
@@ -354,24 +405,25 @@ def test_resample_limit_on_vanishing_denominator():
                            PrecodingPlan.eta_general(1), F16, random.Random(0))
 
 
-def test_reduced_scheme_rides_shared_base():
+def test_reduced_scheme_rides_shared_base(monkeypatch):
     sc = load_corpus("m21_dead")
-    es = draw(sc, PrecodingPlan.eta_one(), seed=6)
+    es, columns = draw_columns(monkeypatch, sc, PrecodingPlan.eta_one(), random.Random(6))
     assert es.reduced
-    assert set(es.theta) == {0}  # single free column, all senders chained
+    assert set(columns) == {0}  # single free column, all senders chained
     m = es.m_vals
     for t in range(2):
-        th = es.theta[0][t]
+        th = columns[0][t]
         assert es.V[0].rows[t][0] == th
         assert es.V[1].rows[t][0] == F16.mul(F16.div(m[(1, 3)][t], m[(2, 3)][t]), th)
         assert es.V[2].rows[t][0] == F16.mul(F16.div(m[(1, 2)][t], m[(3, 2)][t]), th)
 
 
-def test_disjoint_scheme_uses_independent_bases():
-    es = draw("three_disjoint", PrecodingPlan.eta_one(), seed=6)
-    assert set(es.theta) == {0, 1, 2}
+def test_disjoint_scheme_uses_independent_bases(monkeypatch):
+    es, columns = draw_columns(monkeypatch, load_corpus("three_disjoint"),
+                               PrecodingPlan.eta_one(), random.Random(6))
+    assert set(columns) == {0, 1, 2}
     assert [es.V[j].rows[t][0] for j in range(3) for t in range(2)] == \
-           [es.theta[j][t] for j in range(3) for t in range(2)]
+           [columns[j][t] for j in range(3) for t in range(2)]
 
 
 def test_dead_session_graph_decodes_other_two():
