@@ -319,39 +319,43 @@ class Scenario:
                 f"sessions {[s.index for s in self.sessions]})")
 
 
-def _digits(text: str, lineno: int, what: str) -> int:
-    """A number written in ASCII digits only (no sign, underscore or other script)."""
+def read_digits(text: str, what: str) -> int:
+    """A number written in ASCII digits only (no sign, underscore or other script).
+
+    Past the interpreter's digit limit the message names the length and the
+    limit, never the number.
+    """
     if not (text.isascii() and text.isdigit()):
-        raise ScenarioParseError(
-            f"line {lineno}: {what} must be written in ASCII digits, got {text!r}")
+        raise ValueError(f"{what} must be written in ASCII digits, got {text!r}")
     try:
         return int(text)
     except ValueError as exc:  # beyond int's digit limit
-        raise ScenarioParseError(
-            f"line {lineno}: {what} has {len(text)} digits, more than the "
-            f"{sys.get_int_max_str_digits()} a number may have") from exc
+        raise ValueError(f"{what} has {len(text)} digits, more than the "
+                         f"{sys.get_int_max_str_digits()} a number may have") from exc
 
 
 def _edge_ids(texts: List[str], text: str) -> List[int]:
     """The edge ids from their texts, checked in bulk.
 
     Only when a check fails are the lines of `text` read again, to name the
-    first one at fault.
+    first one at fault; that reading always raises.
     """
     joined = "".join(texts)
     with suppress(ValueError):  # beyond int's digit limit
         ids = list(map(int, texts)) if joined.isascii() and joined.isdigit() else None
         if ids is not None and len(set(ids)) == len(ids):
             return ids
-    ids, seen = [], set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.partition("#")[0].split()
-        if parts[:1] == ["edge"]:
-            ids.append(_digits(parts[1], lineno, "edge id"))
-            if ids[-1] in seen:
-                raise ScenarioParseError(f"line {lineno}: duplicate edge id {ids[-1]}")
-            seen.add(ids[-1])
-    return ids
+    seen: Set[int] = set()
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.partition("#")[0].split()
+            if parts[:1] == ["edge"]:
+                eid = read_digits(parts[1], "edge id")
+                if eid in seen:
+                    raise ValueError(f"duplicate edge id {eid}")
+                seen.add(eid)
+    except ValueError as exc:
+        raise ScenarioParseError(f"line {lineno}: {exc}") from exc
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -375,18 +379,16 @@ def parse_scenario(text: str) -> Scenario:
                 nodes.append(name)
             elif kind == "session":
                 idx_s, sender, receiver = parts[1:]
-                idx = _digits(idx_s, lineno, "session index")
+                idx = read_digits(idx_s, "session index")
                 if idx not in (1, 2, 3):
-                    raise ScenarioParseError(f"line {lineno}: session index must be 1..3")
+                    raise ValueError("session index must be 1..3")
                 if idx in seen_sessions:
-                    raise ScenarioParseError(f"line {lineno}: duplicate session {idx}")
+                    raise ValueError(f"duplicate session {idx}")
                 seen_sessions.add(idx)
                 sessions.append((idx, sender, receiver))
             else:
-                raise ScenarioParseError(f"line {lineno}: unknown directive {kind!r}")
+                raise ValueError(f"unknown directive {kind!r}")
         except ValueError as exc:
-            if isinstance(exc, (ScenarioParseError, ModelViolationError)):
-                raise
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")

@@ -240,42 +240,22 @@ def reduced_structure(present: Dict[SessionPair, bool]) -> ReducedStructure:
 
     Every precoding plan is built from it: from the all-present map (every
     constraint), the all-absent map (none) or the network's own map.
+    Receiver i ties g_j to g_u m_ui / m_ji when both interferers reach it.
+    The ties (j, u, i) are tried in order, each only while sender j is
+    unplaced and u is placed; (j, None, 0) gives an unplaced sender j its
+    own base block.
     """
-    # Alignment constraint at receiver i is real only when both of its
-    # interferers actually reach it.
-    a1 = present[(2, 1)] and present[(3, 1)]
-    a2 = present[(1, 2)] and present[(3, 2)]
-    a3 = present[(1, 3)] and present[(2, 3)]
-
-    num: list = [(), None, None]
-    den: list = [(), None, None]
-    base = [0, None, None]
-
-    if a3:  # V2 chained to V1 through receiver 3
-        num[1], den[1], base[1] = ((1, 3),), ((2, 3),), 0
-    if a2:  # V3 chained to V1 through receiver 2
-        num[2], den[2], base[2] = ((1, 2),), ((3, 2),), 0
-    if a1 and base[1] is None and base[2] is not None:
-        # receiver 1 alignment drags V2 along with the already pinned V3
-        num[1] = ((3, 1),) + num[2]
-        den[1] = ((2, 1),) + den[2]
-        base[1] = base[2]
-    if base[1] is None:
-        num[1], den[1], base[1] = (), (), 1
-    if a1 and base[2] is None:
-        # ...or drags V3 along with V2, pinned or free
-        num[2] = ((2, 1),) + num[1]
-        den[2] = ((3, 1),) + den[1]
-        base[2] = base[1]
-    if base[2] is None:
-        num[2], den[2], base[2] = (), (), 2
-
-    return ReducedStructure(
-        present=present,
-        base=tuple(base),
-        profile_num=tuple(num),
-        profile_den=tuple(den),
-    )
+    num, den, base = {1: ()}, {1: ()}, {1: 0}
+    for j, u, i in ((2, 1, 3), (3, 1, 2), (2, 3, 1), (2, None, 0), (3, 2, 1), (3, None, 0)):
+        if j in base:
+            continue
+        if u is None:
+            num[j], den[j], base[j] = (), (), j - 1
+        elif u in base and present[(j, i)] and present[(u, i)]:
+            num[j], den[j], base[j] = ((u, i),) + num[u], ((j, i),) + den[u], base[u]
+    return ReducedStructure(present=present, base=(base[1], base[2], base[3]),
+                            profile_num=(num[1], num[2], num[3]),
+                            profile_den=(den[1], den[2], den[3]))
 
 
 def reduced_decode_cuts(rs: ReducedStructure) -> Optional[List[Tuple[int, int, int, int]]]:

@@ -32,6 +32,18 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def one_error_line(capsys, argv):
+    """stderr of `main(argv)`, which must exit 2 with nothing on stdout and one `error:` line."""
+    try:
+        rc = main(argv)
+    except SystemExit as stop:  # flag errors end inside argparse
+        rc = stop.code
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, ""), err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+    return err
+
+
 # -- classify ----------------------------------------------------------------------
 
 
@@ -154,23 +166,71 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
 def test_bad_environment_seed(tmp_path, capsys, monkeypatch):
     path = corpus_file(tmp_path, "shared_bottleneck")
     monkeypatch.setenv(SEED_ENV, "abc")
-    assert main(["classify", path]) == 2
-    assert "NETALIGN_SEED" in capsys.readouterr().err
+    assert "NETALIGN_SEED" in one_error_line(capsys, ["classify", path])
+
+
+def test_seed_may_start_with_minus(tmp_path, capsys, monkeypatch):
+    path = corpus_file(tmp_path, "shared_bottleneck")
+    assert run_json(capsys, ["classify", path, "--seed=-7"])["seed"] == -7
+    assert run_json(capsys, ["simulate", path, "--seed", "-7", "--trials", "2"])["seed"] == -7
+    monkeypatch.setenv(SEED_ENV, "-3")
+    assert run_json(capsys, ["classify", path])["seed"] == -3
 
 
 # -- failure exit codes ---------------------------------------------------------------
 
 
 def test_missing_file(tmp_path, capsys):
-    assert main(["classify", str(tmp_path / "nope.scn")]) == 2
-    assert "error:" in capsys.readouterr().err
+    one_error_line(capsys, ["classify", str(tmp_path / "nope.scn")])
 
 
 def test_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text("edge 1 a\n")
-    assert main(["classify", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert one_error_line(capsys, ["classify", str(path)]).startswith("error: line 1: ")
+
+
+# Flags and NETALIGN_SEED are read as the file's numbers are: ASCII digits,
+# no underscore, sign or space (a seed alone may start with '-').
+@pytest.mark.parametrize("argv, env", [
+    (["classify", "{path}", "--trials", "x"], None),
+    (["classify", "{path}", "--cross-check", "--trials", "\u0663"], None),  # Arabic-Indic three
+    (["classify", "{path}", "--seed", "1_000"], None),
+    (["classify", "{path}", "--seed", "+5"], None),
+    (["classify", "{path}", "--seed", " 7"], None),
+    (["classify", "{path}", "--seed=-"], None),
+    (["simulate", "{path}", "--n", "+2"], None),
+    (["simulate", "{path}", "--field-bits", "\uff18"], None),  # fullwidth eight
+    (["classify", "{path}"], "abc"),
+    (["classify", "{path}"], "1_000"),
+    (["classify", "{path}"], ""),
+    (["classify"], None),  # no scenario
+    (["frob", "{path}"], None),  # unknown command
+    ([], None),  # no command
+    (["classify", "{path}", "--frob"], None),  # unknown flag
+], ids=lambda v: repr(v) if isinstance(v, list) else f"env={v!r}")
+def test_bad_input_prints_one_error_line(tmp_path, capsys, monkeypatch, argv, env):
+    path = corpus_file(tmp_path, "three_disjoint")
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV, env)
+    one_error_line(capsys, [a.format(path=path) for a in argv])
+
+
+def test_seed_past_the_digit_limit_is_named_not_echoed(tmp_path, capsys, monkeypatch):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter reads numbers of any length")
+    path = corpus_file(tmp_path, "three_disjoint")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        flag = one_error_line(capsys, ["classify", path, "--seed", "7" * 5000])
+        monkeypatch.setenv(SEED_ENV, "7" * 5000)
+        env = one_error_line(capsys, ["classify", path])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for err in (flag, env):
+        assert len(err.encode()) < 200 and "5000 digits" in err and "4300" in err, err
+    assert env == "error: NETALIGN_SEED has 5000 digits, more than the 4300 a number may have\n"
 
 
 @pytest.mark.parametrize("line, bad", [
@@ -185,9 +245,8 @@ def test_numbers_must_be_ascii_digits(tmp_path, capsys, line, bad):
     path = tmp_path / "bad.scn"
     text = serialize_scenario(load_corpus("shared_bottleneck"))
     path.write_text(text.replace(bad + "\n", line + "\n"), encoding="utf-8")
-    assert main(["classify", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: line ")
+    err = one_error_line(capsys, ["classify", str(path)])
+    assert err.startswith("error: line ")
     assert "ASCII digits" in err and "duplicate" not in err
 
 
@@ -217,8 +276,7 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys, bad, what):
 def test_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "binary.scn"
     path.write_bytes(b"edge 1 a b\xff\n")
-    assert main(["classify", str(path)]) == 2
-    assert "UTF-8" in capsys.readouterr().err
+    assert "UTF-8" in one_error_line(capsys, ["classify", str(path)])
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,10 +290,8 @@ def test_non_utf8_file(tmp_path, capsys):
 ])
 def test_out_of_range_flags_exit_2(tmp_path, capsys, argv):
     path = corpus_file(tmp_path, "three_disjoint")
-    with pytest.raises(SystemExit) as stop:
-        main(argv[:1] + [path] + argv[1:])
-    assert stop.value.code == 2
-    assert "must be" in capsys.readouterr().err
+    err = one_error_line(capsys, argv[:1] + [path] + argv[1:])
+    assert "must be" in err and err.startswith(f"error: netalign {argv[0]}: argument --")
 
 
 def test_model_violation_file(tmp_path, capsys):
@@ -245,7 +301,7 @@ def test_model_violation_file(tmp_path, capsys):
         "edge 5 s2 c", "edge 6 c r2", "edge 7 s3 d", "edge 8 d r3",
         "session 1 s1 r1", "session 2 s2 r2", "session 3 s3 r3",
     ]) + "\n")
-    assert main(["classify", str(path)]) == 2
+    assert "cycle" in one_error_line(capsys, ["classify", str(path)])
 
 
 def test_resample_limit_exit_code(tmp_path, capsys, monkeypatch):

@@ -62,20 +62,24 @@ def test_parse_basic():
 
 def test_parse_errors():
     bad_texts = [
-        "flow 1 a b",  # unknown directive
-        "edge x a b\n",  # non-integer id
-        "edge -1 a b\n",  # negative id
-        "edge 1 a b\nedge 1 b c\n",  # duplicate id
-        "edge 1 a\n",  # wrong arity
-        "node a b\n",  # wrong arity
-        "session 4 a b\n",  # index out of range
-        "session 1 a b\nsession 1 c d\n",  # duplicate session
+        ("flow 1 a b", "line 1: unknown directive 'flow'"),
+        ("edge 1 a\n", "line 1: "),  # wrong arity
+        ("node a b\n", "line 1: "),  # wrong arity
+        ("session 4 a b\n", "line 1: session index must be 1..3"),
+        ("session 1 a b\nsession 1 c d\n", "line 2: duplicate session 1"),
+        ("edge 0 s1 u\nsession 1 s1 u\nsession 2 s1 u\n",
+         "scenario must declare exactly three sessions"),
     ]
-    for text in bad_texts:
-        with pytest.raises(ScenarioParseError):
+    # edge ids are read after every other line, so a bad id needs an
+    # otherwise valid text; BASIC has 14 lines and an edge with id 1
+    for line, message in (("edge x a b", "edge id must be written in ASCII digits, got 'x'"),
+                          ("edge -1 a b", "edge id must be written in ASCII digits, got '-1'"),
+                          ("edge 1 a b", "duplicate edge id 1")):
+        bad_texts.append((BASIC + line + "\n", "line 15: " + message))
+    for text, message in bad_texts:
+        with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("edge 0 s1 u\nsession 1 s1 u\nsession 2 s1 u\n")
+        assert str(err.value).startswith(message), text
 
 
 def test_model_violations():

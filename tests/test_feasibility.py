@@ -11,6 +11,7 @@ from genutils import (
     brute_connects,
     decode_ratios,
     make_scenario,
+    mesh_inflate,
     permute_sessions,
     random_connected_scenario,
     random_scenario,
@@ -26,7 +27,12 @@ from netalign.feasibility import (
     reduced_structure,
     report_identity_flags,
 )
-from netalign.xfer import COUPLING_IDENTITIES, SparsePoly, oracle_session_polys
+from netalign.xfer import (
+    COUPLING_IDENTITIES,
+    SparsePoly,
+    oracle_coupling_verdicts,
+    oracle_session_polys,
+)
 
 
 def graph_flags(sc):
@@ -144,6 +150,18 @@ def test_graph_flags_match_randomized_oracle_randomly():
         assert report_identity_flags(report) == oracle_flags(sc)
         kinds[nt.kind] += 1
     assert kinds["I"] > 0 and kinds["III"] > 0  # generator reaches both ends
+
+
+def test_graph_flags_match_oracle_on_inflated_gadgets():
+    # Random draws where the "mutually unreachable" condition of the third
+    # relation alone decides: on two_corridor and its copies every other
+    # condition holds, so a check without it calls the relation true.
+    for name in CORPUS_EXPECT:
+        gadget = load_corpus(name)
+        rng = random.Random(f"inflate:{name}")
+        for _ in range(12):
+            sc = mesh_inflate(gadget, rng, [None, (1, 0), (2, 0), (1, 1)])
+            assert graph_flags(sc) == oracle_coupling_verdicts(sc), name
 
 
 def test_kind_follows_flags():

@@ -329,6 +329,24 @@ def test_coupled_network_defeats_half_rate_plans():
             assert check_rank(es)[0] is False  # ...but swallows the signal
 
 
+def test_eta_one_draws_align_exactly_when_eta_is_one():
+    # check_alignment refuses as well as accepts: with every constraint
+    # chained, receiver 1's two interference blocks line up only where the
+    # graph says eta is 1
+    f32, verdicts = field(32), set()
+    for name in corpus_names():
+        sc = load_corpus(name)
+        report, nt = classify(sc)
+        if not report.fully_connected:
+            continue
+        rng = random.Random(17)
+        aligned = [check_alignment(evaluate_precoding(sc, PrecodingPlan.eta_one(), f32, rng))
+                   for _ in range(50)]
+        assert aligned == [nt.eta_is_one] * 50, name
+        verdicts.add(nt.eta_is_one)
+    assert verdicts == {True, False}
+
+
 def test_reduced_networks_without_half_rate_defeat_eta_one():
     # the Reduced converse: where classify says rate 1/2 is out of reach (a
     # dead session, or a decode ratio whose pair cut is 1), the two-slot
