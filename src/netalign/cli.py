@@ -47,10 +47,15 @@ def _bounded_int(lo: Optional[int], hi: Optional[int] = None):
     """
     def parse(text: str, what: str = "value") -> int:
         negative = lo is None and text.startswith("-")
+        digits = text[negative:]
         try:
-            value = read_digits(text[negative:], what)
+            value = read_digits(digits, what)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+            if digits.isascii() and digits.isdigit():  # past the digit limit
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+            # quote the text as given, with any '-' read_digits did not see
+            raise argparse.ArgumentTypeError(
+                f"{what} must be written in ASCII digits, got {text!r}") from exc
         value = -value if negative else value
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"

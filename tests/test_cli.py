@@ -190,6 +190,12 @@ def test_malformed_file(tmp_path, capsys):
     assert one_error_line(capsys, ["classify", str(path)]).startswith("error: line 1: ")
 
 
+def test_file_without_edges(tmp_path, capsys):
+    path = tmp_path / "bare.scn"
+    path.write_text("session 1 a b\nsession 2 c d\nsession 3 e f\n")
+    assert "not in graph" in one_error_line(capsys, ["classify", str(path)])
+
+
 # Flags and NETALIGN_SEED are read as the file's numbers are: ASCII digits,
 # no underscore, sign or space (a seed alone may start with '-').
 @pytest.mark.parametrize("argv, env", [
@@ -214,6 +220,19 @@ def test_bad_input_prints_one_error_line(tmp_path, capsys, monkeypatch, argv, en
     if env is not None:
         monkeypatch.setenv(SEED_ENV, env)
     one_error_line(capsys, [a.format(path=path) for a in argv])
+
+
+@pytest.mark.parametrize("argv, env, quoted", [
+    (["--seed=-abc"], None, "'-abc'"),
+    (["--seed=-"], None, "'-'"),
+    ([], "--5", "'--5'"),
+], ids=["flag -abc", "flag -", "env --5"])
+def test_seed_errors_quote_the_text_as_given(tmp_path, capsys, monkeypatch, argv, env, quoted):
+    path = corpus_file(tmp_path, "three_disjoint")
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV, env)
+    err = one_error_line(capsys, ["classify", path] + argv)
+    assert err.endswith(f"must be written in ASCII digits, got {quoted}\n"), err
 
 
 def test_seed_past_the_digit_limit_is_named_not_echoed(tmp_path, capsys, monkeypatch):
@@ -441,3 +460,8 @@ def test_module_runs_as_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["type"] == "II" and doc["optimal_rate"] == "2/5"
+    # a bad flag ends the process with exit 2 and one line, on any argparse
+    proc = subprocess.run([sys.executable, "-m", "netalign.cli", "classify", path, "--seed", "1_000"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
