@@ -19,7 +19,7 @@ import sys
 from typing import Dict, Optional
 
 from . import __version__
-from .dag import ModelViolationError, Scenario, ScenarioParseError, load_scenario, read_digits
+from .dag import ModelViolationError, Scenario, ScenarioParseError, load_scenario, quoted, read_digits
 from .feasibility import (
     CouplingReport,
     NetworkType,
@@ -55,7 +55,7 @@ def _bounded_int(lo: Optional[int], hi: Optional[int] = None):
                 raise argparse.ArgumentTypeError(str(exc)) from exc
             # quote the text as given, with any '-' read_digits did not see
             raise argparse.ArgumentTypeError(
-                f"{what} must be written in ASCII digits, got {text!r}") from exc
+                f"{what} must be written in ASCII digits, got {quoted(text)}") from exc
         value = -value if negative else value
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"

@@ -146,14 +146,14 @@ class Scenario:
         for index, sender, receiver in sorted(sessions):
             for v, role in ((sender, "sender"), (receiver, "receiver")):
                 if v not in number:
-                    raise ModelViolationError(f"{role} node {v!r} not in graph")
+                    raise ModelViolationError(f"{role} node {quoted(v)} not in graph")
             s, r = number[sender], number[receiver]
             if len(self.out_edges[s]) != 1 or self.in_edges[s]:
-                raise ModelViolationError(
-                    f"sender {sender!r} must have exactly one outgoing and no incoming edge")
+                raise ModelViolationError(f"sender {quoted(sender)} must have "
+                                          "exactly one outgoing and no incoming edge")
             if len(self.in_edges[r]) != 1 or self.out_edges[r]:
-                raise ModelViolationError(
-                    f"receiver {receiver!r} must have exactly one incoming and no outgoing edge")
+                raise ModelViolationError(f"receiver {quoted(receiver)} must have "
+                                          "exactly one incoming and no outgoing edge")
             senders.append(self.out_edges[s][0])
             receivers.append(self.in_edges[r][0])
             pinned.append(Session(index, sender, receiver,
@@ -221,21 +221,20 @@ class Scenario:
         lane's sender), the gain lane gets g and, per top edge t and top u
         of its predecessors, a slot: the sum of x_pt g[p] over those p, or
         x_ut itself, unswept, when p = u (then the only one).  Lane j sets
-        m(sigma_j, t) = sum over u of m(sigma_j, u) times that, at the top
-        edges it reaches only.  Returns (tail, feeds, program, reads): `tail`
-        positions follow the coefficients, `reads` hold m_11 .. m_33.
+        m(sigma_j, t) = sum over u of m(sigma_j, u) times that, over the tops
+        u that sigma_j reaches: those in its dominator tree (`dominators`).
+        Returns (tail, feeds, program, reads): `tail` positions follow the
+        coefficients, `reads` hold m_11 .. m_33.
         """
         count = len(self.ids)
-        top, reach = [-1] * count, [0] * count
-        for j, s in enumerate(self.senders):
-            top[s], reach[s] = s, 1 << j
+        top = [-1] * count
+        for s in self.senders:
+            top[s] = s
         feeds, program, targets = list(self.senders), [], []
         slot = count + self.pair_count  # the next slot's position
         for e, row in self.program:
             row = tuple([pk for pk in row if top[pk[0]] >= 0])
             ups = {top[p] for p, _ in row}
-            for p, _ in row:
-                reach[e] |= reach[p]
             if len(ups) == 1 and e not in self.receivers:
                 top[e] = ups.pop()
                 program.append((e, row))
@@ -251,10 +250,10 @@ class Scenario:
                     terms.append(group[0])
                 targets.append((e, terms))
         for j, s in enumerate(self.senders):
-            at = slot + j * count
+            at, idom = slot + j * count, self.dominators(s)
             feeds.append(at + s)
             for t, terms in targets:
-                row = tuple((at + u, k) for u, k in terms if reach[u] >> j & 1)
+                row = tuple((at + u, k) for u, k in terms if idom[u] >= 0)
                 if row:
                     program.append((at + t, row))
         reads = [slot + j * count + t for j in range(3) for t in self.receivers]
@@ -319,6 +318,16 @@ class Scenario:
                 f"sessions {[s.index for s in self.sessions]})")
 
 
+QUOTE_LIMIT = 40  # characters of a value that an error message quotes
+
+
+def quoted(text: str) -> str:
+    """repr(text); past QUOTE_LIMIT characters, that of its start, and its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def read_digits(text: str, what: str) -> int:
     """A number written in ASCII digits only (no sign, underscore or other script).
 
@@ -326,7 +335,7 @@ def read_digits(text: str, what: str) -> int:
     limit, never the number.
     """
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{what} must be written in ASCII digits, got {text!r}")
+        raise ValueError(f"{what} must be written in ASCII digits, got {quoted(text)}")
     try:
         return int(text)
     except ValueError as exc:  # beyond int's digit limit
@@ -388,7 +397,7 @@ def parse_scenario(text: str) -> Scenario:
                 seen_sessions.add(idx)
                 sessions.append((idx, sender, receiver))
             else:
-                raise ValueError(f"unknown directive {kind!r}")
+                raise ValueError(f"unknown directive {quoted(kind)}")
         except ValueError as exc:
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
@@ -412,4 +421,4 @@ def load_scenario(path) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ScenarioParseError(
                 f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))  # less a byte-order mark

@@ -151,22 +151,6 @@ class Field:
         lift, settle, lower = self.lifted
         return lower(settle(lift(a) * lift(b)))
 
-    def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        if self.exp is not None:
-            return self.exp[(self.log[a] * e) % (self.order - 1)]
-        lift, settle, lower = self.lifted
-        r, a, e = 1, lift(a), e % (self.order - 1)  # a^(2^m - 1) = 1, as in the tables
-        while e:
-            if e & 1:
-                r = settle(r * a)
-            a = settle(a * a)
-            e >>= 1
-        return lower(r)
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse: x^(-log a) off the tables, else extended Euclid."""
         if a == 0:

@@ -50,6 +50,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, repeat
 from operator import xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -221,14 +222,14 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
 
     # Column families: one free random column per base block, or eta powers
-    # (defined, as eta's denominator was resampled).
+    # (defined, as eta's denominator was resampled), each column the last times eta.
     if plan.n is None:
         theta = {b: field.draw(rng, N) for b in sorted(set(chain.base))}
         columns = [[[v] for v in theta[b]] for b in chain.base]
     else:
         n = plan.n
         etas = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
-        powers = [[field.pow(eta, c) for c in range(n + 1)] for eta in etas]
+        powers = [list(accumulate(repeat(eta, n), field.mul, initial=1)) for eta in etas]
         columns = [powers, [row[:n] for row in powers], [row[1:] for row in powers]]
     V = []
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):

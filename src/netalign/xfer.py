@@ -197,9 +197,6 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsePoly) and self.monos == other.monos
 
-    def __hash__(self):
-        return hash(self.monos)
-
     def is_zero(self) -> bool:
         return not self.monos
 
@@ -208,13 +205,8 @@ class SparsePoly:
 
     def evaluate(self, field: Field, x: CodingAssignment) -> int:
         acc = 0
-        for mono in self.monos:
-            term = 1
-            for var, exp in mono:
-                term = field.mul(term, field.pow(x[var], exp))
-                if term == 0:
-                    break
-            acc ^= term
+        for mono in self.monos:  # each variable multiplied in exp times
+            acc ^= reduce(field.mul, [x[var] for var, exp in mono for _ in range(exp)], 1)
         return acc
 
     def square_coefficient(self, var: Var) -> "SparsePoly":

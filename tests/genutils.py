@@ -24,6 +24,8 @@ networks, which the other generators essentially never produce, and
 `decode_ratios` writes out the Reduced decode ratios before cancelling, the
 reference for `feasibility.reduced_decode_cuts`; `degree` is a
 `SparsePoly`'s total degree, and `diamond_chain` a scenario with 2^k paths.
+`clmul`, `poly_mod` and `ref_pow` are GF(2^m) arithmetic on binary
+polynomials that shares no code with `Field`.
 """
 
 import itertools
@@ -253,6 +255,39 @@ def layered_dag(rng, width=10, gaps=480, extra=394):
     for i in (1, 2, 3):
         add(f"L{gaps}_{i - 1}", f"r{i}")
     return make_scenario(triples)
+
+
+# -- reference field arithmetic: binary polynomials on plain ints ------------
+
+
+def clmul(a, b):
+    """Carry-less product of two binary polynomials."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def poly_mod(a, p):
+    """Remainder of binary polynomial a modulo p."""
+    dp = p.bit_length() - 1
+    while a.bit_length() - 1 >= dp:
+        a ^= p << (a.bit_length() - 1 - dp)
+    return a
+
+
+def ref_pow(a, e, p):
+    """a^e modulo p, e >= 0, by square-and-multiply on `clmul` and `poly_mod`."""
+    result = 1
+    while e:
+        if e & 1:
+            result = poly_mod(clmul(result, a), p)
+        a = poly_mod(clmul(a, a), p)
+        e >>= 1
+    return result
 
 
 # -- small readers that only the tests need ----------------------------------

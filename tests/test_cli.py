@@ -252,6 +252,37 @@ def test_seed_past_the_digit_limit_is_named_not_echoed(tmp_path, capsys, monkeyp
     assert env == "error: NETALIGN_SEED has 5000 digits, more than the 4300 a number may have\n"
 
 
+LONG = "x" * 5000
+CUT = f"'{'x' * 40}'... (5000 characters)"
+
+
+# A value past 40 characters is quoted by its first 40 and its length; a
+# shorter one is quoted whole, as before.
+@pytest.mark.parametrize("argv, env, edit, message", [
+    (["--seed", LONG], None, None,
+     "netalign classify: argument --seed: value must be written in ASCII digits, got " + CUT),
+    ([], LONG, None, "NETALIGN_SEED must be written in ASCII digits, got " + CUT),
+    ([], None, ("edge 1 S1 hub", f"{LONG} S1 hub"), "line 1: unknown directive " + CUT),
+    ([], None, ("edge 1 S1 hub", f"edge {LONG} S1 hub"),
+     "line 1: edge id must be written in ASCII digits, got " + CUT),
+    ([], None, ("session 1 S1 D1", f"session 1 {LONG} D1"), f"sender node {CUT} not in graph"),
+    ([], None, ("session 3 S3 D3", f"session 3 S3 {LONG}"), f"receiver node {CUT} not in graph"),
+    ([], None, ("session 2 S2 D2", "session 2 S2 hub"),
+     "receiver 'hub' must have exactly one incoming and no outgoing edge"),
+], ids=["--seed", "NETALIGN_SEED", "directive", "edge id", "sender", "receiver", "short"])
+def test_long_values_are_quoted_cut_with_their_length(tmp_path, capsys, monkeypatch,
+                                                      argv, env, edit, message):
+    path = tmp_path / "long.scn"
+    text = serialize_scenario(load_corpus("shared_bottleneck"))
+    if edit is not None:
+        assert text.count(edit[0] + "\n") == 1
+        text = text.replace(edit[0] + "\n", edit[1] + "\n")
+    path.write_text(text)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV, env)
+    assert one_error_line(capsys, ["classify", str(path)] + argv) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("line, bad", [
     ("edge 1_0 S1 hub", "edge 1 S1 hub"),  # int() would read 10
     ("edge \u0663 S1 hub", "edge 1 S1 hub"),  # Arabic-Indic three: not "duplicate id 3"
@@ -290,6 +321,21 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys, bad, what):
     err = capsys.readouterr().err
     assert err == (f"error: line {lineno}: {what} has 5000 digits, "
                    "more than the 4300 a number may have\n")
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    # a UTF-8 byte-order mark before the first line is not part of it
+    text = serialize_scenario(load_corpus("rich_type3"))
+    plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for command in (["classify", "--cross-check"], ["simulate", "--trials", "5"], ["oracle"]):
+        outs = []
+        for path in (plain, marked):
+            assert main(command[:1] + [str(path)] + command[1:]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 def test_non_utf8_file(tmp_path, capsys):

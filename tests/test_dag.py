@@ -20,12 +20,14 @@ from genutils import (
     scenarios,
 )
 from netalign.dag import (
+    QUOTE_LIMIT,
     Edge,
     ModelViolationError,
     Scenario,
     ScenarioParseError,
     load_scenario,
     parse_scenario,
+    quoted,
     serialize_scenario,
 )
 
@@ -80,6 +82,13 @@ def test_parse_errors():
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
         assert str(err.value).startswith(message), text
+
+
+def test_quoted_cuts_values_past_the_limit():
+    # up to QUOTE_LIMIT characters the repr, past it the repr of the start
+    # and the length in characters (not bytes)
+    assert quoted("é" * QUOTE_LIMIT) == repr("é" * QUOTE_LIMIT)
+    assert quoted("é" * (QUOTE_LIMIT + 1)) == f"{'é' * QUOTE_LIMIT!r}... (41 characters)"
 
 
 def test_model_violations():

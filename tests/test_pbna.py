@@ -19,6 +19,7 @@ from genutils import (
     random_scenario,
     received_block,
     receiver_system,
+    ref_pow,
     ref_decode,
     sender_matrix,
     transfer,
@@ -65,7 +66,7 @@ def draw(name_or_sc, plan, seed=0):
     return evaluate_precoding(sc, plan, F16, random.Random(seed))
 
 
-def draw_columns(monkeypatch, sc, plan, rng):
+def draw_columns(monkeypatch, sc, plan, rng, f=F16):
     """A draw of `plan` on `sc` and its free columns, keyed by base block.
 
     Every `Field.draw` call of the draw is recorded: the kept and resampled
@@ -81,7 +82,7 @@ def draw_columns(monkeypatch, sc, plan, rng):
 
     with monkeypatch.context() as patched:
         patched.setattr(Field, "draw", recording)
-        es = evaluate_precoding(sc, plan, F16, rng)
+        es = evaluate_precoding(sc, plan, f, rng)
     blocks = sorted(set(es.structure.base)) if plan.n is None else []
     assert len(drawn) == plan.N + es.resamples + len(blocks)
     columns = drawn[plan.N + es.resamples:]
@@ -158,31 +159,32 @@ def test_eta_general_precoders_are_eta_powers(monkeypatch):
     scs += [random_scenario(rng) for _ in range(30)]
     plans = (PrecodingPlan.eta_general(1), PrecodingPlan.eta_general(2),
              PrecodingPlan.type_two_five(), PrecodingPlan.trivial_third())
-    checked = Counter()
-    for sc in scs:
-        for plan in plans:
-            try:
-                es, columns = draw_columns(monkeypatch, sc, plan, rng)
-            except ResampleLimitError:
-                continue  # a gain denominator is identically zero
-            checked[plan.kind, sc is no_m13] += 1
-            for t in range(plan.N):
-                m = {pair: vals[t] for pair, vals in es.m_vals.items()}
-                if plan.n is None:
-                    assert [v.rows[t] for v in es.V] == [[columns[j][t]] for j in range(3)]
-                    continue
-                num = functools.reduce(F16.mul, [m[(1, 3)], m[(2, 1)], m[(3, 2)]])
-                den = functools.reduce(F16.mul, [m[(1, 2)], m[(2, 3)], m[(3, 1)]])
-                eta = F16.div(num, den)
-                g2 = F16.div(m[(1, 3)], m[(2, 3)])
-                g3 = F16.div(m[(1, 2)], m[(3, 2)])
-                n = plan.n
-                assert es.V[0].rows[t] == [F16.pow(eta, c) for c in range(n + 1)]
-                assert es.V[1].rows[t] == [F16.mul(g2, F16.pow(eta, c)) for c in range(n)]
-                assert es.V[2].rows[t] == [F16.mul(g3, F16.pow(eta, c))
-                                           for c in range(1, n + 1)]
-    for kind in ("EtaGeneral", "TypeTwoFive", "TrivialThird"):
-        assert checked[kind, True] >= 1 and checked[kind, False] >= 10, kind
+    # the eta powers come from `ref_pow`, not from a chain of `Field.mul`
+    for f in (F16, field(32)):
+        checked = Counter()
+        for sc in scs:
+            for plan in plans:
+                try:
+                    es, columns = draw_columns(monkeypatch, sc, plan, rng, f)
+                except ResampleLimitError:
+                    continue  # a gain denominator is identically zero
+                checked[plan.kind, sc is no_m13] += 1
+                for t in range(plan.N):
+                    m = {pair: vals[t] for pair, vals in es.m_vals.items()}
+                    if plan.n is None:
+                        assert [v.rows[t] for v in es.V] == [[columns[j][t]] for j in range(3)]
+                        continue
+                    num = functools.reduce(f.mul, [m[(1, 3)], m[(2, 1)], m[(3, 2)]])
+                    den = functools.reduce(f.mul, [m[(1, 2)], m[(2, 3)], m[(3, 1)]])
+                    eta = f.div(num, den)
+                    g2 = f.div(m[(1, 3)], m[(2, 3)])
+                    g3 = f.div(m[(1, 2)], m[(3, 2)])
+                    powers = [ref_pow(eta, c, f.poly) for c in range(plan.n + 1)]
+                    assert es.V[0].rows[t] == powers
+                    assert es.V[1].rows[t] == [f.mul(g2, v) for v in powers[:-1]]
+                    assert es.V[2].rows[t] == [f.mul(g3, v) for v in powers[1:]]
+        for kind in ("EtaGeneral", "TypeTwoFive", "TrivialThird"):
+            assert checked[kind, True] >= 1 and checked[kind, False] >= 10, (f, kind)
 
 
 def test_type_two_five_sends_outer_columns():

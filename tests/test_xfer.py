@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from genutils import (
     RATIOS,
     assignment,
+    brute_reach,
     degree,
     diamond_chain,
     evaluate_ratio,
     index_of,
     make_scenario,
     mesh_inflate,
+    perturbed_type_two,
     rand,
     random_connected_scenario,
     rand_nonzero,
@@ -25,7 +27,7 @@ from genutils import (
     transfer,
     transfer_gains,
 )
-from netalign import load_corpus
+from netalign import corpus_names, load_corpus
 from netalign.gf2m import Field, field
 from netalign.xfer import (
     COUPLING_IDENTITIES,
@@ -368,6 +370,32 @@ def test_factored_sweep_settles_about_once_per_edge(monkeypatch):
     session_transfer_matrix(sc, x, f)
     assert len(sc.ids) == 176
     assert len(settled) <= len(sc.ids) + 12
+
+
+def test_factored_sender_lanes_read_only_tops_their_sender_reaches():
+    # lane j has a row for each top edge past sigma_j that sigma_j reaches,
+    # and its rows read only such tops; reach comes from `brute_reach`, not
+    # from the dominator trees `factored` prunes by
+    rng = random.Random(11)
+    gadget = load_corpus("type_two_gadget")
+    scs = [load_corpus(name) for name in corpus_names()]
+    scs += [perturbed_type_two(rng, gadget) for _ in range(20)]
+    scs += [mesh_inflate(load_corpus(name), rng, [None, (1, 0), (2, 1)])
+            for name in ("rich_type3", "m21_dead", "two_corridor", "type_two_gadget")]
+    pruned = 0
+    for sc in scs:
+        count = len(sc.ids)
+        tail, feeds, program, _ = sc.factored
+        tops = {e for e in feeds if e < count}
+        lanes = count + sc.pair_count + tail - 3 * count  # edge 0's value in lane 1
+        for j, s in enumerate(sc.senders):
+            at, reached = lanes + j * count, tops & brute_reach(sc, s)
+            rows = {pos - at: row for pos, row in program if at <= pos < at + count}
+            assert set(rows) == reached - {s}
+            for row in rows.values():
+                assert {u - at for u, _ in row} <= reached
+            pruned += len(tops - reached)
+    assert pruned >= 100  # tops some sender does not reach
 
 
 def test_pointwise_ratio_identities():
