@@ -85,7 +85,7 @@ class Scenario:
         heads = list(map(number.__getitem__, heads))
         if any(map(eq, tails, heads)):
             loop = min(ids[q] for q in range(count) if tails[q] == heads[q])
-            raise ModelViolationError(f"self-loop on edge {loop}")
+            raise ModelViolationError(f"self-loop on edge {quoted(str(loop))}")
         outs: List[List[int]] = [[] for _ in self.nodes]
         for q in by_id:
             outs[tails[q]].append(q)
@@ -361,7 +361,7 @@ def _edge_ids(texts: List[str], text: str) -> List[int]:
             if parts[:1] == ["edge"]:
                 eid = read_digits(parts[1], "edge id")
                 if eid in seen:
-                    raise ValueError(f"duplicate edge id {eid}")
+                    raise ValueError(f"duplicate edge id {quoted(parts[1])}")
                 seen.add(eid)
     except ValueError as exc:
         raise ScenarioParseError(f"line {lineno}: {exc}") from exc

@@ -13,9 +13,10 @@ x^i below z and zeros from z to 2z, so exp[log a + log b] = a*b, zero
 included, with no branch.  Both are arrays of machine integers (1.1 MB at
 m = 16), small enough to stay in cache better than lists of int objects.
 Larger fields lift elements (bit k to bit 8k of an int, one table read per
-byte): one integer multiply then leaves the carry-less product in bit 0 of
-each byte, XOR still adds, and `Field.lifted` lets sums of many products be
-reduced once (settled) and gathered back (lowered, bytes read as digits).
+11-bit chunk): one integer multiply then leaves the carry-less product in
+bit 0 of each byte, XOR still adds, and `Field.lifted` lets sums of many
+products be reduced once (settled) and gathered back (lowered, bytes read as
+digits).  `Field.draw` reads uniform elements off one `randbytes` call.
 Inversion reads the tables up to 2^16; above, it is the extended Euclidean
 algorithm over GF(2)[x] on plain ints, a few dozen shift-and-xor steps.
 
@@ -27,9 +28,10 @@ copy.  Above 2^16 rows are lifted once and stay lifted through both passes.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import cache
-from itertools import islice, repeat
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 
@@ -82,9 +84,12 @@ IRREDUCIBLE_POLY = {
 
 _TABLE_LIMIT = 16  # largest m for which exp/log tables are built
 
-# Byte b with bit k moved to bit 8k, shifted for byte j of an element.
-_SPREADS = [[int.from_bytes(bytes(b >> k & 1 for k in range(8)), "little") << 64 * j
-             for b in range(256)] for j in range(4)]
+# Byte b with bit k moved to bit 8k; from it each 11-bit chunk c of an
+# element, spread and shifted for chunk j = 0, 1, 2 (bits 11j to 11j + 10).
+_BYTE = [int.from_bytes(bytes(b >> k & 1 for k in range(8)), "little") for b in range(256)]
+_SPREADS = [[(_BYTE[c & 255] | _BYTE[c >> 8] << 64) << 88 * j for c in range(2048)]
+            for j in range(3)]
+_WORDS = {array(code).itemsize: code for code in "QLIHB"}  # array typecode by byte width
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -106,16 +111,16 @@ def _tables(m: int, poly: int) -> Tuple[array, array]:
 def _lifted_kernel(m: int, poly: int):
     """(lift, settle, lower) of GF(2^m) in lifted form, m in 17..32.
 
-    `lift` ORs four pre-shifted byte-table reads; `lower` reads the m bytes
-    as binary digits.  `settle` folds the bytes from m on down twice by x^m =
-    r modulo poly, r of degree d with w <= 7 terms: degree 2m - 2 falls to
-    m - 2 + d, then 2d - 2 < m.  The first fold's bytes stay below 8 unmasked,
-    so the second multiply cannot carry.
+    `lift` ORs three pre-shifted 11-bit-chunk table reads; `lower` reads the
+    m bytes as binary digits.  `settle` folds the bytes from m on down twice
+    by x^m = r modulo poly, r of degree d with w <= 7 terms: degree 2m - 2
+    falls to m - 2 + d, then 2d - 2 < m.  The first fold's bytes stay below 8
+    unmasked, so the second multiply cannot carry.
     """
     low, shift = int.from_bytes(b"\x01" * m, "little"), 8 * m
 
-    def lift(a, s0=_SPREADS[0], s1=_SPREADS[1], s2=_SPREADS[2], s3=_SPREADS[3]):
-        return s0[a & 255] | s1[a >> 8 & 255] | s2[a >> 16 & 255] | s3[a >> 24]
+    def lift(a, s0=_SPREADS[0], s1=_SPREADS[1], s2=_SPREADS[2]):
+        return s0[a & 2047] | s1[a >> 11 & 2047] | s2[a >> 22]
 
     folded = lift(poly ^ (1 << m))  # r = x^m modulo poly
 
@@ -185,13 +190,17 @@ class Field:
                 for v in block]
 
     def draw(self, rng, count: int) -> List[int]:
-        """`count` uniform elements, the values of as many rng.randrange(2^m).
+        """`count` uniform elements from one rng.randbytes(w * count) call.
 
-        Like randrange, each takes m + 1 random bits, drawn again while they
-        reach 2^m; `islice` pulls exactly as many draws as it keeps.
+        Each is the low m bits of a little-endian word of w = 1, 2 or 4 bytes
+        (m <= 8, 16, 32), uniform because 2^m divides 2^(8w).
         """
-        draws = filter(self.order.__gt__, map(rng.getrandbits, repeat(self.m + 1)))
-        return list(islice(draws, count))
+        w = 1 if self.m <= 8 else 2 if self.m <= 16 else 4
+        words = array(_WORDS[w], rng.randbytes(w * count))
+        if sys.byteorder == "big":
+            words.byteswap()
+        mask = self.order - 1
+        return words.tolist() if 8 * w == self.m else [v & mask for v in words]
 
     def __repr__(self):
         return f"Field(2^{self.m}, poly=0x{self.poly:X})"

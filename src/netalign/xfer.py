@@ -71,7 +71,7 @@ class CodingAssignment:
 
     @classmethod
     def random(cls, sc: Scenario, field: Field, rng) -> "CodingAssignment":
-        """Uniform values, drawn in `sc.pairs` order."""
+        """Uniform values from one `Field.draw`, in `sc.pairs` order."""
         return cls(sc, field.draw(rng, sc.pair_count))
 
     def __getitem__(self, pair: Var) -> int:

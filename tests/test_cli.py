@@ -323,6 +323,22 @@ def test_numbers_past_the_digit_limit_exit_2(tmp_path, capsys, bad, what):
                    "more than the 4300 a number may have\n")
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["edge {id} x y", "edge {id} y z"], "line {n}: duplicate edge id {cut}"),
+    (["edge {id} hub hub"], "self-loop on edge {cut}"),
+], ids=["duplicate", "self-loop"])
+def test_long_edge_ids_are_quoted_cut(tmp_path, capsys, extra, message):
+    # a 4,000-digit id is a valid number, yet its message quotes only its start
+    big = "7" * 4000
+    path = tmp_path / "long.scn"
+    text = serialize_scenario(load_corpus("shared_bottleneck"))
+    path.write_text(text + "".join(line.format(id=big) + "\n" for line in extra))
+    err = one_error_line(capsys, ["classify", str(path)])
+    cut = f"'{'7' * 40}'... (4000 characters)"
+    assert err == f"error: {message.format(n=len(text.splitlines()) + 2, cut=cut)}\n"
+    assert len(err.encode()) < 150, err
+
+
 def test_byte_order_mark_is_dropped(tmp_path, capsys):
     # a UTF-8 byte-order mark before the first line is not part of it
     text = serialize_scenario(load_corpus("rich_type3"))
@@ -435,7 +451,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "f91332fa911dc1485a2f65ebdf3c03457fa63b9b864452cee1bed0de4f433872",
         "simulate_50": "f2efc261552588c5185d4bae7ce4624f5c2997b940e99bf84b9dd8799bbabcf3",
         "simulate_20_n2": "1c2bcb1c4f68c9d088ef01d0f6dd1b7146fe6b48c83deee0fbb84dea67b19281",
-        "simulate_4": "ec96bc4fc1419257dd27509ac37d0ff96efa244abe3103ef8bf5c07b4a787047",
+        "simulate_4": "26c15543b9d650e23b353fba95f14f7ef4dba20fd14ca57bc35307dfc8ae0552",
     },
     "m21_dead": {
         "cross_check_32": "5c2d493a5d38209b09167eafbff77b939103c6193cfb218d968284c014d0e50b",
@@ -443,7 +459,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "1f973b3c30c6bb43fef288e438aee5cca43dc5e386315e187081fb2392aeb4d7",
         "simulate_50": "147f7a4469b62b8aeb1a35aee54e2a719dc9c7c8e1abd1d947fce8ab61ebf821",
         "simulate_20_n2": "987be51363c16604db44a2a4f482613b732f76c40e95010c98730319cd45a6be",
-        "simulate_4": "dca615d1f29923be37b7c46e2e7160fd9e1bb7b4cc1a5cceab16aa24384a0dbd",
+        "simulate_4": "11e4b3b015cdf1ce0a2b8c0e8d96b554666a45a09db05d51e87850c3c9d0ee0d",
     },
     "rich_type3": {
         "cross_check_32": "d40f3b08b45a2b5486a41a3e864f96e9fdeea075f1996c22e13ad93e845c69e5",
@@ -451,7 +467,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "cde6468905338983b39995c8a737b2c1e6c0b262738bac41d1c49551c907d33f",
         "simulate_50": "07a31642c04e5bb857bd799c545e702d0312d16fc5be0a783fbad128b5c3edd3",
         "simulate_20_n2": "091f0033fe30b11c0dbf9d63b140cf814d356b60e5096c6281c36950ce8181ca",
-        "simulate_4": "d018ab3080b775fa30cd64bbbeb809f9d86c940bb54a4c335c0591386ca17f74",
+        "simulate_4": "8ee2590d3af27019859cce28ddd684931735fae2c05e4e3d54cdd05b6b0901a8",
     },
     "shared_bottleneck": {
         "cross_check_32": "b22c298e3b575632ec40f10460769d7dd0c263d3ad2909680a260067188ca00f",
@@ -459,7 +475,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "1c049cc56aff57b62fa378f2b2ca1ff4e1e6d7472219dfa5753320e849b2be4f",
         "simulate_50": "eeeadcf903136ec3f726d069a1dafc31f0aa6cbc066e05358f01d54f554f3011",
         "simulate_20_n2": "982d2b94c41a940110b7d7f5548a5ee79a9751ab820243a9a8280fcbea3c98ff",
-        "simulate_4": "a455d81cdd76e528e6233008dcec52ab16833017222d0cbe0dbcfd49e1974a72",
+        "simulate_4": "cf20b95f320ecdf294265b9f20ce3fc33459b7c0b51a400c9a0f50e9cc2223d9",
     },
     "three_disjoint": {
         "cross_check_32": "93de0d3f5243a25d8879fbcb51c7b96acd2ac08bd5baed202cf43dc5ca04f8a1",
@@ -467,7 +483,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "19a72099dc2e5fada3ca32ec32c9844ec4eae79bb673a46c1eac6b5531f2588b",
         "simulate_50": "32b40d52bfa877fcc58e762756a73f48a159900b9fbd8dc085a4ac3eaa8ec05a",
         "simulate_20_n2": "08e4db6fb1580c566f136c32cee14667b47c2d66caceded47be5f69c88c1141b",
-        "simulate_4": "0d994e2658015d8be9f8db12b4b73228918b1561f5c9199299ae1777501589a8",
+        "simulate_4": "8817f25342da62fe3cb5fce9b872a0a1a8c704c6e39eae8008d04d90aa19c71d",
     },
     "two_corridor": {
         "cross_check_32": "e2b61de9b5015269e7868fcd81cbf7bfb9d89618800c7ae4e1cbb65d153c2531",
@@ -475,7 +491,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "3c21d3a1da7a399be2ff6b4a82c6a1580fe7902abe0a574cc78af1387dfedbd5",
         "simulate_50": "211235a95936875b01456270830750670dd7d609ba46c65f2c5fae09e0b4db50",
         "simulate_20_n2": "54b8cdb883d7b96aed52a9169ea2388cbcc07d9465e4c91136422aac79d4c639",
-        "simulate_4": "088daa9ab1b8f38c8c16ddc36c3bd1581a787404d6f068795e49baedb6dd4382",
+        "simulate_4": "466906fac8e455458c7eb227b188f3cea3a44f70d9a60b5eca524f0d6db9d33a",
     },
     "type_two_gadget": {
         "cross_check_32": "b29428bc9c4bd41bb19262107e89dbf3add686bf431affea6a91f7ccd5e3a02c",
@@ -483,7 +499,7 @@ GUARD_DIGESTS = {
         "cross_check_17": "dfe96ea36a14951321cb6ebff1b086155dee2f9b964a3362dc7ea26633ecdd16",
         "simulate_50": "899056347ca148f00f4bd7f40fc767babea3220c7ccba699137f43f2fb6986f9",
         "simulate_20_n2": "2bfd9420a94f456c08dc7a55b294405729f1d4f31888bcf8b8fcfa55511cdc66",
-        "simulate_4": "07dbfe30ea675ce9f01d61ae359775f53981e305592d72b19f1cf8f51e000f4c",
+        "simulate_4": "9fc3af7579a74653fba61d38e3f8baa5f45134e8486f59fb1ec82fbdbbc379fe",
     },
 }
 

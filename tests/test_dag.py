@@ -76,7 +76,7 @@ def test_parse_errors():
     # otherwise valid text; BASIC has 14 lines and an edge with id 1
     for line, message in (("edge x a b", "edge id must be written in ASCII digits, got 'x'"),
                           ("edge -1 a b", "edge id must be written in ASCII digits, got '-1'"),
-                          ("edge 1 a b", "duplicate edge id 1")):
+                          ("edge 1 a b", "duplicate edge id '1'")):
         bad_texts.append((BASIC + line + "\n", "line 15: " + message))
     for text, message in bad_texts:
         with pytest.raises(ScenarioParseError) as err:

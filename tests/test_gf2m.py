@@ -9,6 +9,7 @@ irreducibility and primitivity without trusting the library's own test.
 
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -232,6 +233,16 @@ def test_lifted_kernel_round_trips_and_settles_to_reference(m):
             assert lower(settle(v)) == want
 
 
+@pytest.mark.parametrize("m", range(17, 33))
+def test_lift_moves_bit_k_to_byte_k(m):
+    # against a bit-by-bit reference, at every single bit and at the edges of
+    # the 11-bit chunks whose tables lift reads
+    lift = Field(m).lifted[0]
+    edges = [2**11 - 1, 2**11, 2**22 - 1, 2**22, 2**m - 1]
+    for a in [1 << k for k in range(m)] + [a for a in edges if a < 2**m]:
+        assert lift(a) == sum(1 << 8 * k for k in range(m) if a >> k & 1), (m, a)
+
+
 @pytest.mark.parametrize("m", range(1, 17))
 def test_tables_match_reference_at_zero_and_sentinel_edges(m):
     # log[0] is the sentinel z; exp is x^i below z and zero from z to 2z, so
@@ -326,6 +337,25 @@ def test_rand_ranges():
     rng = random.Random(7)
     values = f.draw(rng, 200)
     assert len(values) == 200 and set(values) == {0, 1, 2, 3}
+
+
+# Chi-square bound fixed before any run: the 0.999 quantile for 2^m - 1
+# degrees of freedom (m = 1..4), so a uniform draw fails with p < 0.001.
+CHI2_999 = {1: 10.83, 2: 16.27, 3: 24.32, 4: 37.70}
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_draw_stays_in_range_and_spreads_evenly(m):
+    f = field(m)
+    rng = random.Random(f"draw:{m}")
+    values = f.draw(rng, 20000 if m in CHI2_999 else 2000)
+    assert all(0 <= v < f.order for v in values)
+    assert max(values).bit_length() == m  # the top bit is drawn too
+    if m in CHI2_999:
+        expected = len(values) / f.order
+        counts = Counter(values)
+        chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(f.order))
+        assert chi2 < CHI2_999[m], (m, chi2)
 
 
 def test_shared_field_cache():

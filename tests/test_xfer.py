@@ -259,15 +259,21 @@ def test_factored_sweep_on_shared_tops_and_unreached_edges(m):
 @pytest.mark.parametrize("m", range(1, 33))
 def test_random_assignment_replays_randrange(m):
     # the draws, their order and the generator's state after them are those
-    # of one rng.randrange(2**m) per pair
+    # of one rng.randbytes call: the low m bits of each little-endian word of
+    # the smallest width of 1, 2 or 4 bytes that holds m bits, in pair order
+    # (the name is kept from the randrange stream this replaced)
     sc = load_corpus("eta_one_corridor")
     f = field(m)
+    w = next(w for w in (1, 2, 4) if 8 * w >= m)
     for seed in (0, 1, 2, 12345):
         rng, ref = random.Random(seed), random.Random(seed)
         x = CodingAssignment.random(sc, f, rng)
-        assert x.values == [ref.randrange(2**m) for _ in sc.pairs]
+        data = ref.randbytes(w * sc.pair_count)
+        words = [data[i:i + w] for i in range(0, len(data), w)]
+        assert x.values == [int.from_bytes(word, "little") & (2**m - 1) for word in words]
         assert [x[pair] for pair in sc.pairs] == x.values
         assert rng.getstate() == ref.getstate()
+        assert f.draw(rng, 0) == [] and rng.getstate() == ref.getstate()
 
 
 # -- diagnostic ratios -----------------------------------------------------------
