@@ -9,7 +9,9 @@ of the network performs random linear coding, so receiver i observes
 A plan is the alignment constraints it enforces plus a column family.  One
 chain, `netalign.feasibility.reduced_structure`, turns the constraints into
 a gain profile g_j (a ratio of transfer functions, per slot) and a base
-block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j:
+block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j.  Here
+sender j is role j, played by session (j + lead - 2) % 3 + 1; `plan_chain`
+and `evaluate_precoding` put roles in the network's numbering once:
 
 * EtaGeneral(n): N = 2n+1, k = (n+1, n, n), every constraint, so g = (1,
   m13/m23, m12/m32).  With T the diagonal matrix of per-slot eta values and
@@ -21,8 +23,7 @@ block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j:
   sender 1 transmits only on columns {w, T^2 w}: on these networks the
   middle desired column is forced into the interference span at receiver 1,
   and giving it up restores decodability at rate 2/5.  Sender 1 must serve
-  the session whose third relation holds: the plan's `lead`, which
-  `simulate` numbers 1 by renumbering the sessions cyclically (`lead_first`).
+  the session whose third relation holds: the plan's `lead`.
 * EtaOne: N = 2, k = (1, 1, 1), the constraints the network has (all of
   them where eta is identically 1); each base block is a free random
   column theta, shared by the senders the chain ties together.
@@ -85,7 +86,11 @@ class PrecodingPlan:
     N: int
     k: Tuple[int, int, int]
     n: Optional[int] = None
-    lead: int = 1  # the session that plays session 1; see `lead_first`
+    lead: int = 1  # the session that plays role 1; see `plan_chain`
+
+    def __post_init__(self):
+        if self.lead not in (1, 2, 3):
+            raise ValueError(f"lead must be 1, 2 or 3, not {self.lead!r}")
 
     @classmethod
     def eta_general(cls, n: int) -> "PrecodingPlan":
@@ -111,6 +116,10 @@ class PrecodingPlan:
     def rates(self) -> Tuple[Fraction, Fraction, Fraction]:
         return tuple(Fraction(ki, self.N) for ki in self.k)
 
+    def by_session(self, roles: Sequence) -> Sequence:
+        """Per-role items in session order: session s gets role (s - lead) % 3 + 1's."""
+        return roles[1 - self.lead:] + roles[:1 - self.lead]
+
 
 def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
     """Pick the scheme family matching a classification verdict."""
@@ -127,27 +136,12 @@ def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
     raise ValueError(f"unknown network kind {nt.kind!r}")
 
 
-def lead_first(sc: Scenario, lead: int) -> Scenario:
-    """`sc` with its sessions renumbered cyclically so that session `lead` is 1.
-
-    A plan with `lead` != 1 runs on this scenario: the third relation of
-    session `lead` becomes session 1's, and the coding variables keep their
-    order, so the draws do not change.
-    """
-    if lead == 1:
-        return sc
-    names = sc.nodes
-    sessions = [((s.index - lead) % 3 + 1, s.sender, s.receiver) for s in sc.sessions]
-    return Scenario(names, sc.ids, [names[v] for v in sc.tails],
-                    [names[v] for v in sc.heads], sessions)
-
-
 @dataclass
 class EvaluatedScheme:
     """One concrete draw of a plan: assignments, V and M values.
 
-    V[0] is the full structural matrix; for TypeTwoFive sender 1 only the
-    `data_cols` subset carries data symbols (all columns for other plans).
+    V[j-1] is sender j's full structural matrix; for TypeTwoFive the lead's
+    only carries data on its `data_cols` subset (all columns for other plans).
     """
 
     plan: PrecodingPlan
@@ -170,14 +164,20 @@ UNALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, False))
 
 
 def plan_chain(sc: Scenario, plan: PrecodingPlan) -> ReducedStructure:
-    """The alignment chain a plan enforces on `sc`."""
+    """The alignment chain a plan enforces on `sc`, built in roles, in `sc`'s numbering."""
+    play = {pair: tuple((r + plan.lead - 2) % 3 + 1 for r in pair) for pair in SESSION_PAIRS}
     if plan.kind in ("EtaGeneral", "TypeTwoFive"):
-        return ALIGNED
-    if plan.kind == "EtaOne":
-        return reduced_structure(connectivity_map(sc))
-    if plan.kind == "TrivialThird":
-        return UNALIGNED
-    raise ValueError(f"unknown plan kind {plan.kind!r}")
+        chain = ALIGNED
+    elif plan.kind == "EtaOne":
+        chain = reduced_structure(dict(zip(play, map(connectivity_map(sc).get, play.values()))))
+    elif plan.kind == "TrivialThird":
+        chain = UNALIGNED
+    else:
+        raise ValueError(f"unknown plan kind {plan.kind!r}")
+    return ReducedStructure({play[pair]: on for pair, on in chain.present.items()},
+                            plan.by_session(chain.base),
+                            *(plan.by_session(tuple(tuple(map(play.get, prof)) for prof in side))
+                              for side in (chain.profile_num, chain.profile_den)))
 
 
 def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
@@ -185,8 +185,8 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
                        chain: Optional[ReducedStructure] = None) -> EvaluatedScheme:
     """Draw one concrete scheme: N coding assignments plus free scalars.
 
-    Sessions are taken in plan order: `sc` is `lead_first(network, plan.lead)`.
-    `chain` is `plan_chain(sc, plan)`, built here when not given.  A slot
+    `chain` is `plan_chain(sc, plan)`, built here when not given; V,
+    `data_cols` and `m_vals` are in `sc`'s session numbering.  A slot
     whose draw zeroes any transfer function appearing in a profile
     denominator is redrawn in full; RESAMPLE_LIMIT consecutive bad draws
     raise ResampleLimitError (tiny field or degenerate topology), naming how
@@ -230,15 +230,15 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
         n = plan.n
         etas = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
         powers = [list(accumulate(repeat(eta, n), field.mul, initial=1)) for eta in etas]
-        columns = [powers, [row[:n] for row in powers], [row[1:] for row in powers]]
+        columns = plan.by_session([powers, [r[:n] for r in powers], [r[1:] for r in powers]])
     V = []
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
         if den:  # kept nonzero by resampling
             gains = [pair_ratio(field, m, num, den) for m in slots]
             rows = [field.scale((g,), (row,)) for g, row in zip(gains, rows)]
         V.append(Matrix(field, rows))
-    data_cols = (((0, 2), (0, 1), (0, 1)) if plan.kind == "TypeTwoFive"
-                 else tuple(tuple(range(k)) for k in plan.k))
+    data_cols = plan.by_session(((0, 2), (0, 1), (0, 1)) if plan.kind == "TypeTwoFive"
+                                else tuple(tuple(range(k)) for k in plan.k))
 
     return EvaluatedScheme(plan=plan, assignments=assignments, m_vals=m_vals,
                            V=tuple(V), data_cols=data_cols, structure=chain,
@@ -280,7 +280,7 @@ def check_alignment(es: EvaluatedScheme) -> bool:
         rows, (first, last, _) = _receiver(es, i)
         joint = Matrix(f, [row[:last] for row in rows]).rank()
         if es.reduced:
-            ok = joint <= plan.N - plan.k[i - 1]
+            ok = joint <= plan.N - len(es.data_cols[i - 1])
         else:
             blocks = ((0, first), (first, last))
             wide = max(hi - lo for lo, hi in blocks)
@@ -335,18 +335,17 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
              seed: int = 0) -> SimulationResult:
     """Monte-Carlo runs of a plan: fresh scheme, random data, exact decode.
 
-    It runs on `lead_first(sc, plan.lead)` and reports in `sc`'s session order.
+    Failures and rates are per session of `sc`, in its own numbering.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    sc = lead_first(sc, plan.lead)
     chain = plan_chain(sc, plan)
     rng = random.Random(seed)
     successes = 0
     failures = [0, 0, 0]
     for _ in range(trials):
         es = evaluate_precoding(sc, plan, field, rng, chain)
-        xs = [field.draw(rng, k) for k in plan.k]
+        xs = [field.draw(rng, len(cols)) for cols in es.data_cols]
         sent = []
         for V, cols, data in zip(es.V, es.data_cols, xs):
             # data symbol c times data column c, column after column
@@ -361,7 +360,6 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
                 ok = False
         if ok:
             successes += 1
-    back = [(i - plan.lead) % 3 for i in (1, 2, 3)]  # plan position of each session
     return SimulationResult(plan=plan, trials=trials, successes=successes,
-                            receiver_failures=tuple(failures[b] for b in back),
-                            rates=tuple(plan.rates[b] for b in back))
+                            receiver_failures=tuple(failures),
+                            rates=plan.by_session(plan.rates))

@@ -12,7 +12,7 @@ import pytest
 
 import netalign
 import netalign.cli as cli
-from genutils import diamond_chain
+from genutils import diamond_chain, permute_sessions
 from netalign import build_plan, classify, corpus_names, load_corpus
 from netalign.cli import SEED_ENV, main
 from netalign.dag import serialize_scenario
@@ -396,6 +396,17 @@ def test_resample_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
+def test_resample_limit_names_the_files_pairs(tmp_path, capsys):
+    # lead 2: session 2 plays role 1, and the error names the file's own
+    # transfer functions, sorted in the file's numbering
+    path = tmp_path / "lead2.scn"
+    path.write_text(serialize_scenario(guard_network("type_two_gadget_213")))
+    assert main(["simulate", str(path), "--field-bits", "1", "--trials", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 100 consecutive slot draws had a zero denominator: "
+        "m12 zero in 91, m13 zero in 98, m23 zero in 96, m31 zero in 93\n")
+
+
 # -- stdout guard ---------------------------------------------------------------------
 
 GUARD_COMMANDS = {
@@ -411,15 +422,27 @@ GUARD_COMMANDS = {
 }
 
 
+# Session orders of `type_two_gadget` whose plans lead with sessions 2 and 3;
+# every corpus gadget leads with session 1.
+LEAD_ORDERS = {"type_two_gadget_213": (2, 1, 3), "type_two_gadget_321": (3, 2, 1)}
+
+
+def guard_network(name):
+    """A corpus gadget, or `type_two_gadget` with its sessions in a LEAD_ORDERS order."""
+    if name in LEAD_ORDERS:
+        return permute_sessions(load_corpus("type_two_gadget"), LEAD_ORDERS[name])
+    return load_corpus(name)
+
+
 def scrambled_text(name):
-    """A corpus gadget with fresh scattered ids, shuffled lines and comments.
+    """A guard network with fresh scattered ids, shuffled lines and comments.
 
     The new ids are drawn at random, so their order differs from the
     topological order; nothing printed may depend on that difference
     except the ids themselves.
     """
     rng = random.Random(f"scramble:{name}")
-    lines = serialize_scenario(load_corpus(name)).splitlines()
+    lines = serialize_scenario(guard_network(name)).splitlines()
     edges = [line.split()[2:] for line in lines if line.startswith("edge ")]
     fresh = rng.sample(range(1000), len(edges))
     lines = [line for line in lines if not line.startswith("edge ")]
@@ -430,20 +453,21 @@ def scrambled_text(name):
 
 
 def guard_digests(tmp_path, capsys, name):
-    plain = corpus_file(tmp_path, name)
+    plain = tmp_path / f"{name}.scn"
+    plain.write_text(serialize_scenario(guard_network(name)))
     scrambled = tmp_path / f"{name}-scrambled.scn"
     scrambled.write_text(scrambled_text(name))
     digests = {}
     for key, argv in GUARD_COMMANDS.items():
         out = []
-        for path in (plain, str(scrambled)):
+        for path in (str(plain), str(scrambled)):
             assert main(argv[:1] + [path] + argv[1:]) == 0
             out.append(capsys.readouterr().out)
         digests[key] = hashlib.sha256("".join(out).encode()).hexdigest()
     return digests
 
 
-# sha256 of the stdout of each command on the gadget, then on its scrambled copy.
+# sha256 of the stdout of each command on the network, then on its scrambled copy.
 GUARD_DIGESTS = {
     "eta_one_corridor": {
         "cross_check_32": "34bd207364fb52c120d5db8aa2289d488269c202145e988cb4d3971fec77bc97",
@@ -501,10 +525,26 @@ GUARD_DIGESTS = {
         "simulate_20_n2": "2bfd9420a94f456c08dc7a55b294405729f1d4f31888bcf8b8fcfa55511cdc66",
         "simulate_4": "9fc3af7579a74653fba61d38e3f8baa5f45134e8486f59fb1ec82fbdbbc379fe",
     },
+    "type_two_gadget_213": {
+        "cross_check_32": "2accea4eff08196d38996bec09b6894322443adfeb24d4bee9c2bdccc8fae014",
+        "cross_check_8": "28c6ea60a4032cceb94b19834ac7e0b55ef16e1313cb448fb7ff7078071f3bd3",
+        "cross_check_17": "633e94e69ffc6f1eec8f9ac4096a28f73144917df83b3b052a49aeb107615a9e",
+        "simulate_50": "3ba7ac9f927c7dd8f845c2ab090e26970272c868bb491ffe12c26aad913ca7d3",
+        "simulate_20_n2": "0044019bb316703d2390daa54253c773e597e9f4fba8029ade19274c1af99200",
+        "simulate_4": "7222c669d3c46b3abd53b71b734bc54f30d27584010a65665ad47bd5f1c0bd4a",
+    },
+    "type_two_gadget_321": {
+        "cross_check_32": "dab346eee87e3c09b55671fbde54dc84f69483a14f04a3b18f91aa2bfbc1f241",
+        "cross_check_8": "0112e4b3a27494a11b7bed04b8b59a7abba572d3444300c6fbd94211b5ab8c92",
+        "cross_check_17": "d485c2c176e72a489f8253a1718edae0fc93815995b2ce950999d776b197184c",
+        "simulate_50": "30e8bfa2846ae4c6b406be5091d027d146edb3c3250c87c2ec00308f9e7b7fc1",
+        "simulate_20_n2": "9c81a62e55e91892ad880a04d0c38beaae59e21143b052f3b3376d578c8db064",
+        "simulate_4": "dffaac9b8d1b0f7b2bba489cb8de7c1d4646cee525ee5c8d02e9a76732ce0379",
+    },
 }
 
 
-@pytest.mark.parametrize("name", corpus_names())
+@pytest.mark.parametrize("name", corpus_names() + list(LEAD_ORDERS))
 def test_stdout_is_pinned(tmp_path, capsys, name):
     assert guard_digests(tmp_path, capsys, name) == GUARD_DIGESTS[name]
 

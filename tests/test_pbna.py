@@ -46,7 +46,6 @@ from netalign.pbna import (
     check_alignment,
     check_rank,
     evaluate_precoding,
-    lead_first,
     propagate,
     simulate,
 )
@@ -109,6 +108,15 @@ def test_plan_shapes():
     assert (p.N, p.k) == (3, (1, 1, 1))
     with pytest.raises(ValueError):
         PrecodingPlan.eta_general(0)
+
+
+@pytest.mark.parametrize("lead", [0, 4, 5, -1])
+def test_plan_lead_must_be_a_session(lead):
+    assert [PrecodingPlan.type_two_five(s).lead for s in (1, 2, 3)] == [1, 2, 3]
+    with pytest.raises(ValueError, match="lead must be 1, 2 or 3"):
+        PrecodingPlan.type_two_five(lead)
+    with pytest.raises(ValueError, match="lead must be 1, 2 or 3"):
+        PrecodingPlan("EtaOne", 2, (1, 1, 1), lead=lead)
 
 
 def test_build_plan_follows_classification():
@@ -243,7 +251,7 @@ def test_eta_vals_undefined_on_disjoint_paths():
     slots = [{pair: vals[t] for pair, vals in es.m_vals.items()} for t in range(3)]
     assert [pair_ratio(F16, m, ETA_NUM, ETA_DEN) for m in slots] == [None, None, None]
     assert es.resamples == 0
-    assert es.structure is UNALIGNED and es.reduced  # TrivialThird aligns nothing
+    assert es.structure == UNALIGNED and es.reduced  # TrivialThird aligns nothing
 
 
 # -- propagation -------------------------------------------------------------------
@@ -496,7 +504,11 @@ def test_decode_matches_reference_decode_in_small_fields():
 
 
 def test_every_session_order_of_the_type_two_gadget_decodes():
+    # the network's own plan decodes, and a direct draw of it passes both
+    # checks on the network as given: no caller renumbers the sessions
     gadget = load_corpus("type_two_gadget")
+    f32 = field(32)
+    rng = random.Random(6)
     leads = set()
     for perm in itertools.permutations((1, 2, 3)):
         sc = permute_sessions(gadget, perm)
@@ -505,14 +517,19 @@ def test_every_session_order_of_the_type_two_gadget_decodes():
         leads.add(nt.lead)
         res = simulate(sc, build_plan(nt), trials=100, field=F16, seed=4)
         assert res.success_probability >= 0.99, (perm, res.receiver_failures)
+        for _ in range(5):
+            es = evaluate_precoding(sc, build_plan(nt), f32, rng)
+            assert check_rank(es) == (True, True, True) and check_alignment(es), perm
     assert leads == {1, 2, 3}
 
 
-def test_lead_first_renumbers_cyclically_and_simulate_reports_in_file_order():
+def test_lead_plays_role_one_and_simulate_reports_in_file_order():
+    # a plan led by session `lead` on `sc` is the lead-1 plan on `sc` with its
+    # sessions rotated so that `lead` comes first, reported back in `sc`'s order
     sc = permute_sessions(load_corpus("type_two_gadget"), (2, 1, 3))
     assert classify(sc)[1].lead == 2
     for lead in (1, 2, 3):
-        rotated = lead_first(sc, lead)
+        rotated = permute_sessions(sc, [(lead - 1 + t) % 3 + 1 for t in range(3)])
         assert [s.sender for s in rotated.sessions] == \
             [sc.sessions[(lead - 1 + t) % 3].sender for t in range(3)]
         res = simulate(sc, PrecodingPlan.type_two_five(lead), trials=30, field=F16, seed=2)
@@ -541,7 +558,7 @@ def test_perturbed_type_two_networks_match_oracle_and_decode_at_rate_two_fifths(
             continue
         type_two[nt.lead] += 1
         plan = build_plan(nt)
-        es = evaluate_precoding(lead_first(sc, plan.lead), plan, f32, rng)
+        es = evaluate_precoding(sc, plan, f32, rng)
         assert all(check_rank(es)) and check_alignment(es)
         es = evaluate_precoding(sc, PrecodingPlan.eta_general(3), f32, rng)
         assert not all(check_rank(es))
