@@ -27,10 +27,11 @@ it is a bottleneck of every connected (sender, receiver) pair: the cut is 0
 when no pair connects, 1 when the bottleneck chains of the connected pairs
 share an edge, and 2 otherwise.
 
-`min_cut` is the general unit-capacity max-flow on the same index adjacency
-(edges split into an entry and exit vertex joined by a unit arc, augmenting
-paths by breadth-first search).  No classification runs it; it stays as a
-reference for cuts of any size.
+`parallel` is one `Scenario.connects` query from the lower index, which
+stops at its answer.  `min_cut` is the general unit-capacity max-flow on
+the same index adjacency (edges split into an entry and exit vertex joined
+by a unit arc, augmenting paths by breadth-first search); no classification
+runs it, and it stays as a reference for cuts of any size.
 """
 
 from __future__ import annotations
@@ -89,10 +90,9 @@ def alpha_edge(sc: Scenario, i: int, j: int, k: int) -> int:
 
 
 def parallel(sc: Scenario, e1: int, e2: int) -> bool:
-    """True when neither edge can reach the other."""
+    """True when neither edge can reach the other; only the lower index can reach the higher."""
     if e1 == e2:
         raise ValueError("parallelism is defined for distinct edges")
-    # Indices are topological, so only the lower edge can reach the higher.
     return not sc.connects(min(e1, e2), max(e1, e2))
 
 

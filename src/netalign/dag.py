@@ -33,6 +33,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import eq
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
@@ -222,9 +223,10 @@ class Scenario:
         of its predecessors, a slot: the sum of x_pt g[p] over those p, or
         x_ut itself, unswept, when p = u (then the only one).  Lane j sets
         m(sigma_j, t) = sum over u of m(sigma_j, u) times that, over the tops
-        u that sigma_j reaches: those in its dominator tree (`dominators`).
-        Returns (tail, feeds, program, reads): `tail` positions follow the
-        coefficients, `reads` hold m_11 .. m_33.
+        u that sigma_j reaches: those in its dominator tree (`dominators`);
+        the predecessors a sender reaches, and their tops, are found once for
+        all of a node's out-edges.  Returns (tail, feeds, program, reads):
+        `tail` positions follow the coefficients, `reads` hold m_11 .. m_33.
         """
         count = len(self.ids)
         top = [-1] * count
@@ -232,12 +234,17 @@ class Scenario:
             top[s] = s
         feeds, program, targets = list(self.senders), [], []
         slot = count + self.pair_count  # the next slot's position
-        for e, row in self.program:
-            row = tuple([pk for pk in row if top[pk[0]] >= 0])
-            ups = {top[p] for p, _ in row}
+        pred, last = self.pred, None
+        for item in self.program:
+            e, row = item
+            if pred[e] is not last:  # siblings share the mask and the tops
+                last = pred[e]
+                keep = [top[p] >= 0 for p in last]
+                ups, whole = {top[p] for p in compress(last, keep)}, all(keep)
+            row = row if whole else tuple(compress(row, keep))
             if len(ups) == 1 and e not in self.receivers:
-                top[e] = ups.pop()
-                program.append((e, row))
+                (top[e],) = ups
+                program.append(item if whole else (e, row))
             elif ups:
                 top[e] = e
                 feeds.append(e)
@@ -278,9 +285,18 @@ class Scenario:
                     stack.append(nxt)
         return frozenset(seen - banned)
 
-    def connects(self, src: int, dst: int, banned: Iterable[int] = ()) -> bool:
-        """True when a directed path of edges leads from src to dst."""
-        return dst in self.reachable_edges(src, forward=True, banned=banned)
+    def connects(self, src: int, dst: int) -> bool:
+        """True when src is dst or a path leads from src to dst; the search enters
+        only edges below dst (indices are topological) and stops at dst."""
+        seen, stack, succ = {src}, [src] if src < dst else [], self.succ
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt < dst and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+                elif nxt == dst:
+                    return True
+        return src == dst
 
     def dominators(self, src: int) -> List[int]:
         """Immediate dominator of each edge, -1 where `src` does not reach; src's is src.
@@ -289,26 +305,28 @@ class Scenario:
         are its chain idom[e], idom[idom[e]], ... up to src.  One pass in
         index (topological) order gives each edge the nearest common
         dominator of its reachable predecessors, walking their chains up
-        by index (Cooper, Harvey & Kennedy, 2001).  Memoized in
-        `dominator_trees`, keyed by src.
+        by index (Cooper, Harvey & Kennedy, 2001); a node's out-edges share
+        one predecessor list, so all but the first copy its answer.  Memoized
+        in `dominator_trees`, keyed by src.
         """
         idom = self.dominator_trees.get(src)
         if idom is not None:
             return idom
-        pred = self.pred
+        pred, last = self.pred, None
         idom = [-1] * len(pred)
         idom[src] = src
         for e in range(src + 1, len(pred)):
-            d = -1
-            for p in pred[e]:
-                if idom[p] >= 0:
-                    if d >= 0:
-                        while d != p:
-                            if d > p:
-                                d = idom[d]
-                            else:
-                                p = idom[p]
-                    d = p
+            if pred[e] is not last:  # else e - 1's sibling: the same answer
+                last, d = pred[e], -1
+                for p in last:
+                    if idom[p] >= 0:
+                        if d >= 0:
+                            while d != p:
+                                if d > p:
+                                    d = idom[d]
+                                else:
+                                    p = idom[p]
+                        d = p
             idom[e] = d
         self.dominator_trees[src] = idom
         return idom

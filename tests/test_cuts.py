@@ -76,6 +76,22 @@ def test_bottlenecks_match_removal_oracle():
             assert got == sorted(got)
 
 
+def test_every_tree_matches_removal_oracle():
+    # Every edge as src, not only sender edges: a source whose tail has
+    # other out-edges starts its tree among siblings, and later siblings
+    # copy the idom their first sibling found.
+    rng = random.Random(101)
+    shared = 0
+    for _ in range(30):
+        sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
+        edges = range(len(sc.edges))
+        for src in edges:
+            for dst in edges:
+                assert bottleneck_set(sc, src, dst).members == brute_bottlenecks(sc, src, dst)
+        shared += sum(len(outs) > 1 for outs, ins in zip(sc.out_edges, sc.in_edges) if ins)
+    assert shared  # some node with in-edges has several out-edges
+
+
 def test_bottlenecks_lie_on_every_path():
     rng = random.Random(89)
     for _ in range(10):

@@ -269,6 +269,36 @@ def test_reachability_against_two_brute_oracles():
                 assert sc.connects(a, b) == closure[a][b]
 
 
+class ReadLog(list):
+    """A list that records the index of every item read from it."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+def test_connects_reads_successors_only_below_dst():
+    rng = random.Random(53)
+    total = 0
+    for _ in range(25):
+        sc = random_scenario(rng) if rng.random() < 0.5 else random_connected_scenario(rng)
+        closure = closure_matrix(sc)
+        ids = range(len(sc.edges))
+        reads = []
+        sc.succ = ReadLog(sc.succ, reads)
+        for a in ids:
+            for b in ids:  # a >= b included: only a == b connects, reading nothing
+                reads.clear()
+                assert sc.connects(a, b) == closure[a][b]
+                assert all(e < b for e in reads), (a, b, reads)
+                total += len(reads)
+    assert total  # the log saw the search
+
+
 def test_reachability_with_banned_edges():
     rng = random.Random(37)
     for _ in range(25):
