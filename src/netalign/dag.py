@@ -71,6 +71,8 @@ class Scenario:
     edges leaving and entering node v.  Every such list is in id order, and
     a node's out-edges are consecutive, so `out_edges[v]` is a range.
     `program` and `factored` are the transfer sweeps `xfer._sweep` runs.
+    The constructor keeps these lists and the pinned sessions; it drops each
+    scratch list it builds on the way as soon as its last reader is done.
     """
 
     def __init__(self, nodes: Iterable[str], ids: Sequence[int], tails: Sequence[str],
@@ -78,8 +80,7 @@ class Scenario:
         """The scenario whose edge with id ids[q] runs from tails[q] to heads[q]."""
         count = len(ids)
         if len(set(ids)) != count:
-            raise ModelViolationError("duplicate edge ids")
-        by_id = sorted(range(count), key=ids.__getitem__)  # q in id order
+            raise ModelViolationError(DUPLICATE_IDS)
         self.nodes = sorted({*nodes, *tails, *heads})
         number = dict(zip(self.nodes, range(len(self.nodes))))
         tails = list(map(number.__getitem__, tails))
@@ -87,6 +88,7 @@ class Scenario:
         if any(map(eq, tails, heads)):
             loop = min(ids[q] for q in range(count) if tails[q] == heads[q])
             raise ModelViolationError(f"self-loop on edge {quoted(str(loop))}")
+        by_id = sorted(range(count), key=ids.__getitem__)  # q in id order
         outs: List[List[int]] = [[] for _ in self.nodes]
         for q in by_id:
             outs[tails[q]].append(q)
@@ -113,19 +115,20 @@ class Scenario:
                 order += outs[v]
         if len(order) != count:
             raise ModelViolationError("graph has a directed cycle")
+        self.out_edges = [range(k, k + len(qs)) for k, qs in zip(first, outs)]
+        del outs, pending, first  # each scratch list goes after its last reader
 
-        # Renumber: edge q becomes its position in the order.
-        index = [0] * count
+        index = [0] * count  # renumbering: edge q becomes its position in the order
         for k, q in enumerate(order):
             index[q] = k
+        ins = self.in_edges = [[] for _ in self.nodes]
+        for q in by_id:
+            ins[heads[q]].append(index[q])
+        del by_id, index
         self.ids = list(map(ids.__getitem__, order))
         self.tails = list(map(tails.__getitem__, order))
         self.heads = list(map(heads.__getitem__, order))
-        self.out_edges = [range(k, k + len(qs)) for k, qs in zip(first, outs)]
-        ins: List[List[int]] = [[] for _ in self.nodes]
-        for q in by_id:
-            ins[heads[q]].append(index[q])
-        self.in_edges = ins
+        del order, tails, heads
         self.succ = list(map(self.out_edges.__getitem__, self.heads))
         self.pred = list(map(self.in_edges.__getitem__, self.tails))
 
@@ -337,6 +340,7 @@ class Scenario:
 
 
 QUOTE_LIMIT = 40  # characters of a value that an error message quotes
+DUPLICATE_IDS = "duplicate edge ids"  # the constructor's message; parse_scenario names the line
 
 
 def quoted(text: str) -> str:
@@ -362,16 +366,16 @@ def read_digits(text: str, what: str) -> int:
 
 
 def _edge_ids(texts: List[str], text: str) -> List[int]:
-    """The edge ids from their texts, checked in bulk.
-
-    Only when a check fails are the lines of `text` read again, to name the
-    first one at fault; that reading raises unless there are no edges.
-    """
-    joined = "".join(texts)
+    """The edge ids from their texts, checked for digits in bulk; `_name_bad_id` names a fault."""
     with suppress(ValueError):  # beyond int's digit limit
-        ids = list(map(int, texts)) if joined.isascii() and joined.isdigit() else None
-        if ids is not None and len(set(ids)) == len(ids):
-            return ids
+        if (joined := "".join(texts)).isascii() and joined.isdigit():
+            return list(map(int, texts))
+    _name_bad_id(text)
+    return []  # no edge lines, so nothing for the bulk check to pass
+
+
+def _name_bad_id(text: str) -> None:
+    """Raise at the first edge line whose id is not digits or repeats an earlier one."""
     seen: Set[int] = set()
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -383,7 +387,6 @@ def _edge_ids(texts: List[str], text: str) -> List[int]:
                 seen.add(eid)
     except ValueError as exc:
         raise ScenarioParseError(f"line {lineno}: {exc}") from exc
-    return []  # no edge lines, so nothing for the bulk check to pass
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -420,7 +423,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")
-    return Scenario(nodes, _edge_ids(id_texts, text), tails, heads, sessions)
+    ids = _edge_ids(id_texts, text)
+    del id_texts
+    try:
+        return Scenario(nodes, ids, tails, heads, sessions)
+    except ModelViolationError as exc:  # the constructor checks for duplicates first
+        if exc.args == (DUPLICATE_IDS,):
+            _name_bad_id(text)
+        raise
 
 
 def serialize_scenario(sc: Scenario) -> str:
