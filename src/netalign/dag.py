@@ -341,6 +341,8 @@ class Scenario:
 
 QUOTE_LIMIT = 40  # characters of a value that an error message quotes
 DUPLICATE_IDS = "duplicate edge ids"  # the constructor's message; parse_scenario names the line
+FIELDS = {"edge": (3, "an id, a tail and a head"), "node": (1, "a name"),  # per directive
+          "session": (3, "an index, a sender and a receiver")}
 
 
 def quoted(text: str) -> str:
@@ -419,7 +421,11 @@ def parse_scenario(text: str) -> Scenario:
                 sessions.append((idx, sender, receiver))
             else:
                 raise ValueError(f"unknown directive {quoted(kind)}")
-        except ValueError as exc:
+        except ValueError as exc:  # a wrong field count fails its unpacking first
+            got = len(parts) - 1
+            count, takes = FIELDS.get(kind, (got, ""))
+            if got != count:
+                exc = ValueError(f"{kind} takes {takes}, got {got} field{'s' * (got != 1)}")
             raise ScenarioParseError(f"line {lineno}: {exc}") from exc
     if len(sessions) != 3:
         raise ScenarioParseError("scenario must declare exactly three sessions")

@@ -6,27 +6,28 @@ of the network performs random linear coding, so receiver i observes
 
     Y_i = sum_j diag(m_ji(x^(1)), ..., m_ji(x^(N))) V_j X_j.
 
-A plan is the alignment constraints it enforces plus a column family.  One
-chain, `netalign.feasibility.reduced_structure`, turns the constraints into
-a gain profile g_j (a ratio of transfer functions, per slot) and a base
-block per sender, and V_j = diag(g_j) C_j for sender j's columns C_j.  Here
-sender j is role j, played by session (j + lead - 2) % 3 + 1; `plan_chain`
-and `evaluate_precoding` put roles in the network's numbering once:
+A plan is data: N, the alignment constraints its chain enforces, and per
+role a column family and the data columns (`k` counts them).  One chain,
+`netalign.feasibility.reduced_structure`, turns the constraints into a gain
+profile g_j (a ratio of transfer functions, per slot) and a base block per
+sender, and V_j = diag(g_j) C_j.  A family is a `range` of eta exponents,
+C_j = (T^a w, ..., T^b w) with T the diagonal matrix of per-slot eta values
+and w the all-ones column, or one free random column theta per base block.
+Role j is played by session (j + lead - 2) % 3 + 1; `plan_chain` and
+`evaluate_precoding` put roles in the network's numbering once.  The plans:
 
-* EtaGeneral(n): N = 2n+1, k = (n+1, n, n), every constraint, so g = (1,
-  m13/m23, m12/m32).  With T the diagonal matrix of per-slot eta values and
-  w the all-ones column, C1 = (w, ..., T^n w), C2 = (w, ..., T^{n-1} w) and
-  C3 = (Tw, ..., T^n w).  Interference aligns at every non-degenerate draw:
-  the receiver-1 blocks satisfy M21 V2 = M31 V3 column for column, and the
-  cross blocks at receivers 2 and 3 land inside the spans of M12 V1 and M13 V1.
+* EtaGeneral(n): N = 2n+1, every constraint, so g = (1, m13/m23, m12/m32),
+  exponents 0..n, 0..n-1 and 1..n, all of them data: k = (n+1, n, n).
+  Interference aligns at every non-degenerate draw: the receiver-1 blocks
+  satisfy M21 V2 = M31 V3 column for column, and the cross blocks at
+  receivers 2 and 3 land inside the spans of M12 V1 and M13 V1.
 * TypeTwoFive: N = 5, k = (2, 2, 2).  The EtaGeneral n=2 matrices, except
   sender 1 transmits only on columns {w, T^2 w}: on these networks the
   middle desired column is forced into the interference span at receiver 1,
   and giving it up restores decodability at rate 2/5.  Sender 1 must serve
   the session whose third relation holds: the plan's `lead`.
 * EtaOne: N = 2, k = (1, 1, 1), the constraints the network has (all of
-  them where eta is identically 1); each base block is a free random
-  column theta, shared by the senders the chain ties together.
+  them where eta is identically 1), free columns.
 * TrivialThird: N = 3, k = (1, 1, 1), no constraint: three independent
   random columns, time sharing in disguise.
 
@@ -48,7 +49,7 @@ recoveries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, repeat
@@ -80,12 +81,13 @@ RESAMPLE_LIMIT = 100
 
 @dataclass(frozen=True)
 class PrecodingPlan:
-    """Shape of a precoding scheme: slot count and per-sender symbol counts."""
+    """A precoding scheme as data; `kind` is only its label."""
 
-    kind: str  # "EtaGeneral" | "EtaOne" | "TypeTwoFive" | "TrivialThird"
+    kind: str
     N: int
-    k: Tuple[int, int, int]
-    n: Optional[int] = None
+    aligns: Optional[bool]  # the chain: True every constraint, False none, None the network's
+    columns: Tuple[Optional[range], ...]  # per role: eta exponents, or None for one theta column
+    data: Tuple[Tuple[int, ...], ...]  # per role: the columns that carry data
     lead: int = 1  # the session that plays role 1; see `plan_chain`
 
     def __post_init__(self):
@@ -96,21 +98,30 @@ class PrecodingPlan:
     def eta_general(cls, n: int) -> "PrecodingPlan":
         if n < 1:
             raise ValueError("EtaGeneral needs n >= 1")
-        return cls("EtaGeneral", 2 * n + 1, (n + 1, n, n), n)
+        return cls("EtaGeneral", 2 * n + 1, True, (range(n + 1), range(n), range(1, n + 1)),
+                   (tuple(range(n + 1)), tuple(range(n)), tuple(range(n))))
 
     @classmethod
     def eta_one(cls) -> "PrecodingPlan":
-        return cls("EtaOne", 2, (1, 1, 1))
+        return cls("EtaOne", 2, None, (None,) * 3, ((0,),) * 3)
 
     @classmethod
     def type_two_five(cls, lead: int = 1) -> "PrecodingPlan":
-        # Built on the n=2 structure, hence n is recorded.  Its sender 1
-        # must serve the session whose third relation holds.
-        return cls("TypeTwoFive", 5, (2, 2, 2), 2, lead)
+        return replace(cls.eta_general(2), kind="TypeTwoFive", data=((0, 2), (0, 1), (0, 1)),
+                       lead=lead)
 
     @classmethod
     def trivial_third(cls) -> "PrecodingPlan":
-        return cls("TrivialThird", 3, (1, 1, 1))
+        return cls("TrivialThird", 3, False, (None,) * 3, ((0,),) * 3)
+
+    @property
+    def k(self) -> Tuple[int, int, int]:
+        return tuple(map(len, self.data))
+
+    @property
+    def n(self) -> Optional[int]:
+        """The top eta exponent; None when every column is free."""
+        return max((c[-1] for c in self.columns if c is not None), default=None)
 
     @property
     def rates(self) -> Tuple[Fraction, Fraction, Fraction]:
@@ -129,9 +140,7 @@ def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
         return PrecodingPlan.type_two_five(nt.lead)
     if nt.kind == "III":
         return PrecodingPlan.eta_one() if nt.eta_is_one else PrecodingPlan.eta_general(n)
-    if nt.kind == "Reduced":
-        # Two-slot free-choice scheme when rate 1/2 is feasible; otherwise
-        # fall back to one symbol per sender over three slots.
+    if nt.kind == "Reduced":  # two free slots at rate 1/2, else one symbol each in three
         return PrecodingPlan.eta_one() if nt.half_feasible else PrecodingPlan.trivial_third()
     raise ValueError(f"unknown network kind {nt.kind!r}")
 
@@ -140,8 +149,7 @@ def build_plan(nt: NetworkType, n: int = 1) -> PrecodingPlan:
 class EvaluatedScheme:
     """One concrete draw of a plan: assignments, V and M values.
 
-    V[j-1] is sender j's full structural matrix; for TypeTwoFive the lead's
-    only carries data on its `data_cols` subset (all columns for other plans).
+    V[j-1] is sender j's full structural matrix; only its `data_cols` carry data.
     """
 
     plan: PrecodingPlan
@@ -157,25 +165,13 @@ class EvaluatedScheme:
         return not all(self.structure.present.values())
 
 
-# Every alignment constraint enforced (EtaGeneral, TypeTwoFive) or none
-# (TrivialThird); EtaOne enforces the ones its network has.
-ALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, True))
-UNALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, False))
-
-
 def plan_chain(sc: Scenario, plan: PrecodingPlan) -> ReducedStructure:
     """The alignment chain a plan enforces on `sc`, built in roles, in `sc`'s numbering."""
     play = {pair: tuple((r + plan.lead - 2) % 3 + 1 for r in pair) for pair in SESSION_PAIRS}
-    if plan.kind in ("EtaGeneral", "TypeTwoFive"):
-        chain = ALIGNED
-    elif plan.kind == "EtaOne":
-        chain = reduced_structure(dict(zip(play, map(connectivity_map(sc).get, play.values()))))
-    elif plan.kind == "TrivialThird":
-        chain = UNALIGNED
-    else:
-        raise ValueError(f"unknown plan kind {plan.kind!r}")
-    return ReducedStructure({play[pair]: on for pair, on in chain.present.items()},
-                            plan.by_session(chain.base),
+    present = (connectivity_map(sc) if plan.aligns is None
+               else dict.fromkeys(SESSION_PAIRS, plan.aligns))
+    chain = reduced_structure({pair: present[played] for pair, played in play.items()})
+    return ReducedStructure(present, plan.by_session(chain.base),
                             *(plan.by_session(tuple(tuple(map(play.get, prof)) for prof in side))
                               for side in (chain.profile_num, chain.profile_den)))
 
@@ -195,7 +191,8 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     if chain is None:
         chain = plan_chain(sc, plan)
     den_pairs = {p for prof in chain.profile_den for p in prof}
-    if plan.n is not None:
+    exponents = [c for c in plan.columns if c is not None]  # the eta-power families
+    if exponents:
         den_pairs.update(ETA_DEN)
 
     assignments: List[CodingAssignment] = []
@@ -221,24 +218,24 @@ def evaluate_precoding(sc: Scenario, plan: PrecodingPlan, field: Field,
     N = plan.N
     m_vals = {pair: [m[pair] for m in slots] for pair in slots[0]}
 
-    # Column families: one free random column per base block, or eta powers
-    # (defined, as eta's denominator was resampled), each column the last times eta.
-    if plan.n is None:
-        theta = {b: field.draw(rng, N) for b in sorted(set(chain.base))}
-        columns = [[[v] for v in theta[b]] for b in chain.base]
-    else:
-        n = plan.n
-        etas = [pair_ratio(field, m, ETA_NUM, ETA_DEN) for m in slots]
-        powers = [list(accumulate(repeat(eta, n), field.mul, initial=1)) for eta in etas]
-        columns = plan.by_session([powers, [r[:n] for r in powers], [r[1:] for r in powers]])
+    # Column families: one free random column per base block, or slices of
+    # eta's powers (defined, as eta's denominator was resampled), each the last times eta.
+    families = plan.by_session(plan.columns)
+    free = {b for b, c in zip(chain.base, families) if c is None}
+    theta = {b: field.draw(rng, N) for b in sorted(free)}
+    if exponents:
+        top = max(c[-1] for c in exponents)
+        powers = [list(accumulate(repeat(pair_ratio(field, m, ETA_NUM, ETA_DEN), top),
+                                  field.mul, initial=1)) for m in slots]
+    columns = [[[v] for v in theta[b]] if c is None else [r[c.start:c.stop] for r in powers]
+               for b, c in zip(chain.base, families)]
     V = []
     for rows, num, den in zip(columns, chain.profile_num, chain.profile_den):
         if den:  # kept nonzero by resampling
             gains = [pair_ratio(field, m, num, den) for m in slots]
             rows = [field.scale((g,), (row,)) for g, row in zip(gains, rows)]
         V.append(Matrix(field, rows))
-    data_cols = plan.by_session(((0, 2), (0, 1), (0, 1)) if plan.kind == "TypeTwoFive"
-                                else tuple(tuple(range(k)) for k in plan.k))
+    data_cols = plan.by_session(plan.data)
 
     return EvaluatedScheme(plan=plan, assignments=assignments, m_vals=m_vals,
                            V=tuple(V), data_cols=data_cols, structure=chain,
@@ -353,13 +350,9 @@ def simulate(sc: Scenario, plan: PrecodingPlan, trials: int, field: Field,
             sent.append([reduce(xor, terms[t::plan.N]) for t in range(plan.N)])
         ys = list(zip(*[propagate(sc, x, field, slot)
                         for x, slot in zip(es.assignments, zip(*sent))]))
-        ok = True
-        for i in (1, 2, 3):
-            if _decode(es, i, ys[i - 1]) != xs[i - 1]:
-                failures[i - 1] += 1
-                ok = False
-        if ok:
-            successes += 1
+        missed = [_decode(es, i, ys[i - 1]) != xs[i - 1] for i in (1, 2, 3)]
+        failures = [f + miss for f, miss in zip(failures, missed)]
+        successes += not any(missed)
     return SimulationResult(plan=plan, trials=trials, successes=successes,
                             receiver_failures=tuple(failures),
                             rates=plan.by_session(plan.rates))

@@ -12,7 +12,8 @@ indices too and "topologically last" is the largest index.
 `transfer_gains` runs the transfer recurrence on the raw edge list, one
 `Field.mul` per adjacent pair; the one exception is `evaluate_ratio`,
 which reads the library's `session_transfer_matrix`, and `RATIOS` writes
-the four diagnostic ratios out as the reference table.
+the four diagnostic ratios out as the reference table.  `lane_transfer_matrix`
+reruns only the sender lanes of `Scenario.factored`, at uniform inputs.
 The matrix helpers (`hstack`, `select_cols`, `scale_rows`, `mul_vec`)
 multiply through `Field.mul` one entry at a time; `receiver_system` stacks
 them into the block layout that `pbna._receiver` builds in one pass.
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 from netalign.dag import Scenario, serialize_scenario
 from netalign.gf2m import InconsistentSystemError, Matrix
-from netalign.xfer import CodingAssignment, pair_ratio, session_transfer_matrix
+from netalign.xfer import SESSION_PAIRS, CodingAssignment, pair_ratio, session_transfer_matrix
 
 DEFAULT_SESSIONS = tuple((i, f"s{i}", f"r{i}") for i in (1, 2, 3))
 
@@ -502,6 +503,34 @@ def transfer_gains(sc, x, field, src):
 def transfer(sc, x, field, src, dst):
     """m(src, dst) at one assignment."""
     return transfer_gains(sc, x, field, src)[dst]
+
+
+def lane_transfer_matrix(sc, field, rng):
+    """The nine m_ji from the sender-lane rows of `Scenario.factored`, at uniform inputs.
+
+    Those rows are the ones at or after lane 1's base; each sets lane j's
+    value at a top edge t from its values at tops u, times one input per u:
+    a slot (the sum of x_pt g[p] over the predecessors p of t whose top is
+    u) or the raw coefficient x_ut.  The gain lane is not run: every input
+    position the rows read gets a fresh uniform value, and lane j is fed 1
+    at sigma_j, one `Field.mul` per operand pair.
+
+    That is exact for identity testing.  Each input holds coefficients x_pt
+    into its top edge t that appear in no other input, so the inputs are
+    algebraically independent: an identity in the nine m_ji holds in the
+    coding coefficients exactly when it holds in the inputs, and
+    Schwartz-Zippel applies in them with a degree no larger than
+    `identity_degree_bound`.
+    """
+    _, feeds, program, reads = sc.factored
+    base = feeds[-3] - sc.senders[0]
+    rows = [(t, row) for t, row in program if t >= base]
+    inputs = sorted({k for _, row in rows for _, k in row})
+    values = {k: rand(field, rng) for k in inputs}
+    values.update(dict.fromkeys(feeds[-3:], 1))
+    for t, row in rows:
+        values[t] = reduce(xor, (field.mul(values.get(p, 0), values[k]) for p, k in row), 0)
+    return {pair: values.get(q, 0) for pair, q in zip(SESSION_PAIRS, reads)}
 
 
 def evaluate_ratio(sc, x, field, ratio):

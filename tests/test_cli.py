@@ -419,6 +419,8 @@ GUARD_COMMANDS = {
     "simulate_20_n2": ["simulate", "--trials", "20", "--field-bits", "20", "--n", "2"],
     # resamples and decode failures
     "simulate_4": ["simulate", "--trials", "30", "--field-bits", "4"],
+    # the largest plan (7 slots on rich_type3) in a lifted field of odd degree
+    "simulate_17_n3": ["simulate", "--trials", "20", "--field-bits", "17", "--n", "3"],
 }
 
 
@@ -476,6 +478,7 @@ GUARD_DIGESTS = {
         "simulate_50": "f2efc261552588c5185d4bae7ce4624f5c2997b940e99bf84b9dd8799bbabcf3",
         "simulate_20_n2": "1c2bcb1c4f68c9d088ef01d0f6dd1b7146fe6b48c83deee0fbb84dea67b19281",
         "simulate_4": "26c15543b9d650e23b353fba95f14f7ef4dba20fd14ca57bc35307dfc8ae0552",
+        "simulate_17_n3": "3bd4b9ea4c20b8c56cbe00f7dedb41fc0f2a102686be8f0437c631f61116f525",
     },
     "m21_dead": {
         "cross_check_32": "5c2d493a5d38209b09167eafbff77b939103c6193cfb218d968284c014d0e50b",
@@ -484,6 +487,7 @@ GUARD_DIGESTS = {
         "simulate_50": "147f7a4469b62b8aeb1a35aee54e2a719dc9c7c8e1abd1d947fce8ab61ebf821",
         "simulate_20_n2": "987be51363c16604db44a2a4f482613b732f76c40e95010c98730319cd45a6be",
         "simulate_4": "11e4b3b015cdf1ce0a2b8c0e8d96b554666a45a09db05d51e87850c3c9d0ee0d",
+        "simulate_17_n3": "2130b5b946c8fe4639dbeeed27c3ed73002f064bb2f7e876a79dbe8045a95d6e",
     },
     "rich_type3": {
         "cross_check_32": "d40f3b08b45a2b5486a41a3e864f96e9fdeea075f1996c22e13ad93e845c69e5",
@@ -492,6 +496,7 @@ GUARD_DIGESTS = {
         "simulate_50": "07a31642c04e5bb857bd799c545e702d0312d16fc5be0a783fbad128b5c3edd3",
         "simulate_20_n2": "091f0033fe30b11c0dbf9d63b140cf814d356b60e5096c6281c36950ce8181ca",
         "simulate_4": "8ee2590d3af27019859cce28ddd684931735fae2c05e4e3d54cdd05b6b0901a8",
+        "simulate_17_n3": "2625a4ffb69565f423bae7e87fda785eb2cb003048a9eb76c674f958d37e4bd8",
     },
     "shared_bottleneck": {
         "cross_check_32": "b22c298e3b575632ec40f10460769d7dd0c263d3ad2909680a260067188ca00f",
@@ -500,6 +505,7 @@ GUARD_DIGESTS = {
         "simulate_50": "eeeadcf903136ec3f726d069a1dafc31f0aa6cbc066e05358f01d54f554f3011",
         "simulate_20_n2": "982d2b94c41a940110b7d7f5548a5ee79a9751ab820243a9a8280fcbea3c98ff",
         "simulate_4": "cf20b95f320ecdf294265b9f20ce3fc33459b7c0b51a400c9a0f50e9cc2223d9",
+        "simulate_17_n3": "f4a86a91715df01d66cfe8d2ff9466652e9e3787d829b6a3feb182e2d3bceb48",
     },
     "three_disjoint": {
         "cross_check_32": "93de0d3f5243a25d8879fbcb51c7b96acd2ac08bd5baed202cf43dc5ca04f8a1",
@@ -508,6 +514,7 @@ GUARD_DIGESTS = {
         "simulate_50": "32b40d52bfa877fcc58e762756a73f48a159900b9fbd8dc085a4ac3eaa8ec05a",
         "simulate_20_n2": "08e4db6fb1580c566f136c32cee14667b47c2d66caceded47be5f69c88c1141b",
         "simulate_4": "8817f25342da62fe3cb5fce9b872a0a1a8c704c6e39eae8008d04d90aa19c71d",
+        "simulate_17_n3": "f517db0b7afc2bd9652b97c34d6b44b418a1609ff6ae608dd9508ff7c2eaccd9",
     },
     "two_corridor": {
         "cross_check_32": "e2b61de9b5015269e7868fcd81cbf7bfb9d89618800c7ae4e1cbb65d153c2531",
@@ -516,6 +523,7 @@ GUARD_DIGESTS = {
         "simulate_50": "211235a95936875b01456270830750670dd7d609ba46c65f2c5fae09e0b4db50",
         "simulate_20_n2": "54b8cdb883d7b96aed52a9169ea2388cbcc07d9465e4c91136422aac79d4c639",
         "simulate_4": "466906fac8e455458c7eb227b188f3cea3a44f70d9a60b5eca524f0d6db9d33a",
+        "simulate_17_n3": "add3390d08828cdf1aab0aa80e534462c778d7f6d4abd53cceaeb299cbb3bfab",
     },
     "type_two_gadget": {
         "cross_check_32": "b29428bc9c4bd41bb19262107e89dbf3add686bf431affea6a91f7ccd5e3a02c",
@@ -524,6 +532,7 @@ GUARD_DIGESTS = {
         "simulate_50": "899056347ca148f00f4bd7f40fc767babea3220c7ccba699137f43f2fb6986f9",
         "simulate_20_n2": "2bfd9420a94f456c08dc7a55b294405729f1d4f31888bcf8b8fcfa55511cdc66",
         "simulate_4": "9fc3af7579a74653fba61d38e3f8baa5f45134e8486f59fb1ec82fbdbbc379fe",
+        "simulate_17_n3": "f159ad024524001d876bc90ed46b592d6463512788ca7728fd6db927f075a767",
     },
     "type_two_gadget_213": {
         "cross_check_32": "2accea4eff08196d38996bec09b6894322443adfeb24d4bee9c2bdccc8fae014",
@@ -532,6 +541,7 @@ GUARD_DIGESTS = {
         "simulate_50": "3ba7ac9f927c7dd8f845c2ab090e26970272c868bb491ffe12c26aad913ca7d3",
         "simulate_20_n2": "0044019bb316703d2390daa54253c773e597e9f4fba8029ade19274c1af99200",
         "simulate_4": "7222c669d3c46b3abd53b71b734bc54f30d27584010a65665ad47bd5f1c0bd4a",
+        "simulate_17_n3": "5c6a15d018f120a825549256a7e83ef6b08bfc8d117b16c013df158bf4f0d206",
     },
     "type_two_gadget_321": {
         "cross_check_32": "dab346eee87e3c09b55671fbde54dc84f69483a14f04a3b18f91aa2bfbc1f241",
@@ -540,6 +550,7 @@ GUARD_DIGESTS = {
         "simulate_50": "30e8bfa2846ae4c6b406be5091d027d146edb3c3250c87c2ec00308f9e7b7fc1",
         "simulate_20_n2": "9c81a62e55e91892ad880a04d0c38beaae59e21143b052f3b3376d578c8db064",
         "simulate_4": "dffaac9b8d1b0f7b2bba489cb8de7c1d4646cee525ee5c8d02e9a76732ce0379",
+        "simulate_17_n3": "7c225165b3dbff67a7f00161463266a53e55cadcd8af368b90b056689cc51f1e",
     },
 }
 

@@ -67,8 +67,12 @@ def test_parse_basic():
 def test_parse_errors():
     bad_texts = [
         ("flow 1 a b", "line 1: unknown directive 'flow'"),
-        ("edge 1 a\n", "line 1: "),  # wrong arity
-        ("node a b\n", "line 1: "),  # wrong arity
+        ("edge 1 a\n", "line 1: edge takes an id, a tail and a head, got 2 fields"),
+        ("edge 1 s1 a extra\n", "line 1: edge takes an id, a tail and a head, got 4 fields"),
+        ("edge 1\n", "line 1: edge takes an id, a tail and a head, got 1 field"),
+        ("node a b\n", "line 1: node takes a name, got 2 fields"),
+        ("node\n", "line 1: node takes a name, got 0 fields"),
+        ("session 1 a\n", "line 1: session takes an index, a sender and a receiver, got 2 fields"),
         ("session 4 a b\n", "line 1: session index must be 1..3"),
         ("session 1 a b\nsession 1 c d\n", "line 2: duplicate session 1"),
         ("edge 0 s1 u\nsession 1 s1 u\nsession 2 s1 u\n",
@@ -83,7 +87,7 @@ def test_parse_errors():
     for text, message in bad_texts:
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
-        assert str(err.value).startswith(message), text
+        assert str(err.value) == message, text
 
 
 def test_quoted_cuts_values_past_the_limit():

@@ -10,9 +10,11 @@ import pytest
 from genutils import (
     brute_connects,
     decode_ratios,
+    lane_transfer_matrix,
     make_scenario,
     mesh_inflate,
     permute_sessions,
+    perturbed_type_two,
     random_connected_scenario,
     random_scenario,
 )
@@ -27,9 +29,11 @@ from netalign.feasibility import (
     reduced_structure,
     report_identity_flags,
 )
+from netalign.gf2m import field
 from netalign.xfer import (
     COUPLING_IDENTITIES,
     SparsePoly,
+    evaluate_identity_sides,
     oracle_coupling_verdicts,
     oracle_session_polys,
 )
@@ -164,6 +168,35 @@ def test_graph_flags_match_oracle_on_inflated_gadgets():
             assert graph_flags(sc) == oracle_coupling_verdicts(sc), name
 
 
+def lane_verdicts(sc, f, rng, draws=8):
+    """Which identities hold at `draws` uniform draws of the sender-lane inputs."""
+    held = dict.fromkeys(COUPLING_IDENTITIES, True)
+    for _ in range(draws):
+        m = lane_transfer_matrix(sc, f, rng)
+        for name in held:
+            lhs, rhs = evaluate_identity_sides(name, m, f)
+            held[name] = held[name] and lhs == rhs
+    return held
+
+
+def test_uniform_lane_inputs_give_the_exact_verdicts():
+    # the sender lanes of `factored` alone, fed uniform inputs, decide all
+    # ten identities as the coding coefficients do (see `lane_transfer_matrix`)
+    f, rng = field(32), random.Random(29)
+    scs = [load_corpus(name) for name in corpus_names()]
+    scs += [random_connected_scenario(rng) for _ in range(60)]
+    scs += [random_scenario(rng) for _ in range(60)]
+    verdicts = Counter()
+    for sc in scs:
+        exact = oracle_coupling_verdicts(sc)
+        assert lane_verdicts(sc, f, rng) == exact, sc
+        verdicts.update(exact.values())
+    assert verdicts[True] >= 20 and verdicts[False] >= 20
+    for name in ("rich_type3", "type_two_gadget"):  # 136 and 196 edges, against the graph
+        sc = mesh_inflate(load_corpus(name), random.Random(f"lanes:{name}"), [(2, 1), (3, 2)])
+        assert lane_verdicts(sc, f, rng) == graph_flags(sc), name
+
+
 def test_kind_follows_flags():
     rng = random.Random(31)
     for _ in range(40):
@@ -182,6 +215,24 @@ def test_kind_follows_flags():
         assert nt.optimal_rate == RATE_BY_KIND[nt.kind]
         assert nt.eta_is_one == flags["eta_is_one"]
         assert nt.half_feasible is None
+
+
+def test_verdicts_do_not_depend_on_session_labels():
+    # the optimal symmetric rate is the network's, though the Reduced chain
+    # ties senders in label order
+    rng = random.Random(6)
+    gadget = load_corpus("type_two_gadget")
+    scs = [random_scenario(rng) for _ in range(150)]
+    scs += [random_connected_scenario(rng) for _ in range(150)]
+    scs += [perturbed_type_two(rng, gadget) for _ in range(50)]
+    kinds = Counter()
+    for sc in scs:
+        _, nt = classify(sc)
+        kinds[nt.kind] += 1
+        for perm in itertools.permutations((1, 2, 3)):
+            _, other = classify(permute_sessions(sc, perm))
+            assert (other.kind, other.optimal_rate) == (nt.kind, nt.optimal_rate), (sc, perm)
+    assert min(kinds[kind] for kind in ("I", "II", "III", "Reduced")) >= 3, kinds
 
 
 # -- reduced structure ------------------------------------------------------------

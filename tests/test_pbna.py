@@ -1,5 +1,6 @@
 """Precoding plans: structure, alignment, rank witnesses and simulation."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,10 +36,8 @@ from netalign.feasibility import (
 )
 from netalign.gf2m import Field, field
 from netalign.pbna import (
-    ALIGNED,
     ETA_DEN,
     ETA_NUM,
-    UNALIGNED,
     PrecodingPlan,
     _decode,
     _receiver,
@@ -50,6 +49,7 @@ from netalign.pbna import (
     simulate,
 )
 from netalign.xfer import (
+    SESSION_PAIRS,
     CodingAssignment,
     ResampleLimitError,
     oracle_coupling_verdicts,
@@ -58,6 +58,9 @@ from netalign.xfer import (
 )
 
 F16 = field(16)
+# the chains of every alignment constraint and of none
+ALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, True))
+UNALIGNED = reduced_structure(dict.fromkeys(SESSION_PAIRS, False))
 
 
 def draw(name_or_sc, plan, seed=0):
@@ -116,7 +119,7 @@ def test_plan_lead_must_be_a_session(lead):
     with pytest.raises(ValueError, match="lead must be 1, 2 or 3"):
         PrecodingPlan.type_two_five(lead)
     with pytest.raises(ValueError, match="lead must be 1, 2 or 3"):
-        PrecodingPlan("EtaOne", 2, (1, 1, 1), lead=lead)
+        dataclasses.replace(PrecodingPlan.eta_one(), lead=lead)
 
 
 def test_build_plan_follows_classification():
